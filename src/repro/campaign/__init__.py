@@ -29,17 +29,10 @@ declarative, cacheable artifacts:
   (:class:`FaultPlan` / ``REPRO_FAULT_PLAN``, :class:`StorageFaultPlan`
   / ``REPRO_STORAGE_FAULT_PLAN``) exercising every recovery path
   above in CI;
-* :mod:`repro.campaign.service` / :mod:`repro.campaign.client` — the
-  HSDS-style service node: :class:`CampaignService`
-  (``python -m repro.campaign serve-api``) accepts JSON campaign
-  specs over HTTP, answers cached points straight from the store,
-  dedupes identical in-flight requests, and streams per-point results
-  with bounded backpressure; :class:`CampaignServiceClient` drives it
-  with retries and a :class:`CircuitBreaker`;
 * :mod:`repro.campaign.presets` — builtin specs matching the Fig.
   17/18 drivers seed for seed;
 * ``python -m repro.campaign`` — ``run`` / ``status`` / ``export`` /
-  ``serve`` / ``serve-api`` / ``submit``.
+  ``serve``.
 
 See the Campaign layer sections of ``docs/ARCHITECTURE.md``.
 """
@@ -50,10 +43,6 @@ from repro.campaign.faults import (
     StorageFaultPlan,
     StorageFaultRule,
 )
-from repro.campaign.client import (
-    CampaignServiceClient,
-    CampaignServiceRun,
-)
 from repro.campaign.leases import LeaseManager
 from repro.campaign.objectstore import (
     CircuitBreaker,
@@ -61,7 +50,6 @@ from repro.campaign.objectstore import (
     HttpDriver,
     ObjectStoreService,
 )
-from repro.campaign.service import CampaignService, campaign_id_for
 from repro.campaign.storage import (
     FaultyDriver,
     MemoryDriver,
@@ -97,9 +85,6 @@ __all__ = [
     "CampaignPointResult",
     "CampaignRun",
     "CampaignRunner",
-    "CampaignService",
-    "CampaignServiceClient",
-    "CampaignServiceRun",
     "CampaignSpec",
     "CampaignStore",
     "CircuitBreaker",
@@ -121,7 +106,6 @@ __all__ = [
     "StorageRetryPolicy",
     "build_driver",
     "build_preset",
-    "campaign_id_for",
     "parse_driver_spec",
     "derive_seeds",
     "execute_point",

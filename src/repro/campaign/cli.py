@@ -1,4 +1,4 @@
-"""``python -m repro.campaign`` — run / status / export.
+"""``python -m repro.campaign`` — run / status / export / serve.
 
 Usage::
 
@@ -33,18 +33,6 @@ Usage::
     # store; --fault-plan network rules inject seeded chaos for tests)
     python -m repro.campaign serve --root runs/fig17 --port 8123
 
-    # serve the campaign *API* (HSDS-style service node): JSON specs
-    # in, per-point metrics streamed out, cached points answered with
-    # zero recompute, identical in-flight requests deduplicated
-    python -m repro.campaign serve-api --store runs/fig17 --port 8124
-    python -m repro.campaign serve-api \\
-        --storage-driver http://hostA:8123/campaign --port 8124
-
-    # submit a campaign to a running service node (retries + circuit
-    # breaker; exit 1 when the service reports failed points)
-    python -m repro.campaign submit --service http://127.0.0.1:8124 \\
-        --spec fig17 --seed 0 --counts 1,16
-
     # what the store holds / the merged results table (status includes
     # leased/failed/quarantined counts and per-driver I/O stats;
     # --json emits one compact machine-readable line); both work
@@ -75,7 +63,6 @@ from repro.campaign.runner import CampaignRunner, RetryPolicy
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.storage import (
     DRIVER_NAMES,
-    StorageRetryPolicy,
     build_driver,
     parse_driver_spec,
 )
@@ -268,123 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    serve_api = sub.add_parser(
-        "serve-api",
-        help=(
-            "serve the campaign API: JSON specs in, per-point metrics "
-            "streamed out, cached points answered with zero recompute"
-        ),
-    )
-    serve_api.add_argument(
-        "--store",
-        default=None,
-        help="posix store directory backing the cache (default: memory)",
-    )
-    serve_api.add_argument(
-        "--storage-driver",
-        default=None,
-        help=(
-            "driver spec for the backing store — posix:///path, "
-            "memory://, http://host:port/bucket (a remote object-store "
-            "data node)"
-        ),
-    )
-    serve_api.add_argument("--host", default="127.0.0.1")
-    serve_api.add_argument(
-        "--port",
-        type=int,
-        default=8124,
-        help="listen port (0 picks an ephemeral port)",
-    )
-    serve_api.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool request per campaign execution",
-    )
-    serve_api.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        help="per-point attempt timeout for service-side runs",
-    )
-    serve_api.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="retry budget per point for service-side runs",
-    )
-    serve_api.add_argument(
-        "--no-leases",
-        action="store_true",
-        help="skip the point-lease protocol (single-node stores)",
-    )
-    serve_api.add_argument(
-        "--fault-plan",
-        default=None,
-        help=(
-            "execute-stage fault plan applied to service-side runs "
-            "(test/CI harness; inline JSON or a path)"
-        ),
-    )
-    serve_api.add_argument(
-        "--service-fault-plan",
-        default=None,
-        help=(
-            "seeded network-chaos plan applied to API *requests* — "
-            "refuse/503/disconnect/delay on submit/status/healthz "
-            "(inline JSON or a path)"
-        ),
-    )
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a campaign to a running serve-api node",
-    )
-    submit.add_argument(
-        "--service",
-        required=True,
-        help="service base URL, e.g. http://127.0.0.1:8124",
-    )
-    submit.add_argument(
-        "--spec",
-        required=True,
-        help=(
-            f"preset name ({', '.join(sorted(PRESETS))}) or a path to "
-            "a CampaignSpec JSON file"
-        ),
-    )
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument(
-        "--counts",
-        default=None,
-        help="comma-separated device counts overriding the preset grid",
-    )
-    submit.add_argument("--rounds", type=int, default=None)
-    submit.add_argument("--engine", default=None)
-    submit.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="client-side submit retry budget (transient failures)",
-    )
-    submit.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        help=(
-            "per-read socket timeout (must exceed the slowest single "
-            "point; default 60)"
-        ),
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "emit the raw NDJSON event stream instead of the summary "
-            "(byte-comparable across clients of one execution)"
-        ),
-    )
     return parser
 
 
@@ -641,114 +511,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_serve_api(args) -> int:
-    # Imported here so the plain run/status paths never pay for the
-    # HTTP stack.
-    from repro.campaign.service import CampaignService
-
-    if args.storage_driver is not None:
-        _check_store_arg(args.storage_driver, args.store)
-        driver = build_driver(args.storage_driver, args.store)
-        store = CampaignStore(driver=driver)
-        backing = driver.name
-    elif args.store is not None:
-        store = CampaignStore(args.store)
-        backing = args.store
-    else:
-        store = None
-        backing = "memory://"
-    kwargs = {}
-    if args.max_attempts is not None:
-        kwargs["retry"] = RetryPolicy(max_attempts=args.max_attempts)
-    service = CampaignService(
-        store=store,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        point_timeout_s=args.timeout_s,
-        use_leases=not args.no_leases,
-        fault_plan=_parse_exec_plan(args.fault_plan),
-        service_fault_plan=_parse_storage_plan(args.service_fault_plan),
-        **kwargs,
-    )
-    service.start()
-    print(
-        f"serving campaign API over {backing} at {service.url} "
-        f"(submit with: python -m repro.campaign submit "
-        f"--service {service.url} --spec ...)",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    from repro.campaign.client import CampaignServiceClient
-
-    spec = _load_spec(args)
-    kwargs = {}
-    if args.max_attempts is not None:
-        kwargs["retry"] = StorageRetryPolicy(
-            max_attempts=args.max_attempts
-        )
-    if args.timeout_s is not None:
-        kwargs["timeout_s"] = args.timeout_s
-    client = CampaignServiceClient(args.service, **kwargs)
-    started = time.perf_counter()
-    try:
-        run = client.submit(spec, raise_on_failed=False)
-    except StorageError as error:
-        print(
-            f"campaign {spec.name!r} submit FAILED: {error}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.json:
-        sys.stdout.buffer.write(b"".join(run.raw_lines))
-        sys.stdout.buffer.flush()
-        return 0 if run.summary.get("status") == "complete" else 1
-    elapsed = time.perf_counter() - started
-    if run.summary.get("status") == "failed":
-        print(
-            f"campaign {spec.name!r} FAILED server-side: "
-            f"{run.summary.get('error', '?')}",
-            file=sys.stderr,
-        )
-        return 1
-    failed_note = f", {run.n_failed} failed" if run.n_failed else ""
-    retry_note = (
-        f" after {run.attempts} attempts" if run.attempts > 1 else ""
-    )
-    print(
-        f"campaign {spec.name!r} [{run.campaign_id[:12]}]: "
-        f"{len(run.point_events)} points "
-        f"({run.n_cached} cached, {run.n_computed} computed"
-        f"{failed_note}) in {elapsed:.2f}s via {client.url}"
-        f"{retry_note}"
-    )
-    for event in run.point_events:
-        metrics = event["metrics"]
-        print(
-            f"  [{event['index']:>3}] D={metrics['n_devices']:>4} "
-            f"backend={event['provenance'].get('backend', '?')} "
-            f"phy={metrics['phy_rate_bps'] / 1e3:.1f}kbps"
-        )
-    for event in run.events:
-        if event.get("event") == "failed":
-            print(
-                f"  [FAIL] {event.get('content_hash', '?')[:12]}… "
-                f"({event.get('error', '?')}: "
-                f"{event.get('message', '?')})"
-            )
-    return 0 if run.summary.get("status") == "complete" else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
@@ -757,10 +519,6 @@ def main(argv=None) -> int:
         return _cmd_status(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "serve-api":
-        return _cmd_serve_api(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
     return _cmd_export(args)
 
 

@@ -353,19 +353,6 @@ STORAGE_KINDS = ("error", "persistent", "torn", "hang")
 #:   (eventual-visibility emulation; applies to get/exists/stat).
 NETWORK_KINDS = ("refuse", "http_error", "disconnect", "delay", "stale_read")
 
-#: Request-level operations on the campaign *service* node
-#: (:mod:`repro.campaign.service`) that network-class rules may also
-#: target: one seeded plan drives chaos against both the object store
-#: and the service front end, each consumer firing only the rules whose
-#: op names it understands.
-SERVICE_OPS = ("submit", "status", "list_campaigns", "healthz")
-
-#: Network kinds meaningful at the service request level.
-#: ``stale_read`` is a storage-visibility fault — service requests have
-#: no committed history to serve stale — so the service consults plans
-#: with this narrower kind set.
-REQUEST_KINDS = ("refuse", "http_error", "disconnect", "delay")
-
 #: Read operations eligible for ``stale_read`` faults.
 STORAGE_STALE_OPS = ("get", "exists", "stat")
 
@@ -405,10 +392,10 @@ class StorageFaultRule:
                 f"{STORAGE_KINDS + NETWORK_KINDS}, got {self.kind!r}"
             )
         op = None if self.op in (None, "*") else self.op
-        if op is not None and op not in STORAGE_OPS + SERVICE_OPS:
+        if op is not None and op not in STORAGE_OPS:
             raise ConfigurationError(
                 f"storage fault op must be one of "
-                f"{STORAGE_OPS + SERVICE_OPS} or '*', got {self.op!r}"
+                f"{STORAGE_OPS} or '*', got {self.op!r}"
             )
         object.__setattr__(self, "op", op)
         if self.kind == "torn" and op is not None and (
@@ -628,8 +615,6 @@ __all__ = [
     "FAULT_PLAN_ENV",
     "PLAN_SCHEMA",
     "NETWORK_KINDS",
-    "REQUEST_KINDS",
-    "SERVICE_OPS",
     "STORAGE_FAULT_PLAN_ENV",
     "STORAGE_KINDS",
     "STORAGE_OPS",

@@ -406,9 +406,7 @@ class CircuitBreaker:
     :class:`~repro.errors.CircuitOpenError` without invoking the
     guarded call. After ``reset_after_s`` one half-open probe is let
     through — its success closes the breaker, its failure reopens it.
-    The same machine protects storage operations
-    (:class:`CircuitBreakerDriver`) and campaign-service requests
-    (:class:`repro.campaign.client.CampaignServiceClient`).
+    :class:`CircuitBreakerDriver` wraps every storage operation in it.
     """
 
     def __init__(
@@ -620,74 +618,30 @@ class CircuitBreakerDriver(StorageDriver):
 # ---------------------------------------------------------------------- #
 
 
-#: Exceptions that mean "the client hung up mid-request" — routine
-#: under chaos plans and impatient clients, never a server bug.
-DISCONNECT_ERRORS = (
-    BrokenPipeError,
-    ConnectionResetError,
-    ConnectionAbortedError,
-)
-
-
-class ClientDisconnectLog:
-    """Counts mid-response client disconnects for an HTTP service.
-
-    One warning line on the first occurrence, a ``log_lines`` entry per
-    event, never a traceback — chaos plans disconnect on purpose,
-    hundreds of times per CI run. Mixed into :class:`ObjectStoreService`
-    and :class:`repro.campaign.service.CampaignService`, both of which
-    provide ``log_lines``.
-    """
-
-    log_lines: List[str]
-
-    def _init_disconnect_log(self) -> None:
-        self.n_client_disconnects = 0
-        self._disconnect_lock = threading.Lock()
-
-    def note_client_disconnect(self, client_address, exc) -> None:
-        with self._disconnect_lock:
-            self.n_client_disconnects += 1
-            first = self.n_client_disconnects == 1
-        self.log_lines.append(
-            f"client disconnect from {client_address}: "
-            f"{type(exc).__name__}"
-        )
-        if first:
-            log.warning(
-                "client %s disconnected mid-response (%s); further "
-                "disconnects are counted silently",
-                client_address,
-                type(exc).__name__,
-            )
-
-
-class DisconnectTolerantHTTPServer(ThreadingHTTPServer):
+class _ObjectStoreHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that treats client disconnects as routine.
 
     The stock ``socketserver`` prints a full traceback to stderr every
     time a handler thread dies on ``BrokenPipeError`` /
     ``ConnectionResetError`` — which under a chaos plan (or a client
-    that simply stopped reading a stream) spams CI logs with noise.
-    Disconnects are counted on the owning service
-    (``note_client_disconnect``) and logged once; everything else still
-    gets the stock traceback.
+    that simply stopped reading) spams CI logs with noise. Disconnects
+    are counted on the owning service (``note_client_disconnect``) and
+    logged once; everything else still gets the stock traceback.
     """
 
     daemon_threads = True
     allow_reuse_address = True
-    service: ClientDisconnectLog
+    service: "ObjectStoreService"
 
     def handle_error(self, request, client_address) -> None:
         exc = sys.exc_info()[1]
-        if isinstance(exc, DISCONNECT_ERRORS):
+        if isinstance(
+            exc,
+            (BrokenPipeError, ConnectionResetError, ConnectionAbortedError),
+        ):
             self.service.note_client_disconnect(client_address, exc)
             return
         super().handle_error(request, client_address)
-
-
-class _ObjectStoreHTTPServer(DisconnectTolerantHTTPServer):
-    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -951,7 +905,7 @@ class _Handler(BaseHTTPRequestHandler):
     do_POST = _handle
 
 
-class ObjectStoreService(ClientDisconnectLog):
+class ObjectStoreService:
     """Hermetic HTTP object-store service over a local driver.
 
     In-process for tests (``with ObjectStoreService() as service:``) and
@@ -989,9 +943,29 @@ class ObjectStoreService(ClientDisconnectLog):
         self._history: Dict[str, bytes] = {}
         self._history_lock = threading.Lock()
         self.log_lines: List[str] = []
-        self._init_disconnect_log()
+        self.n_client_disconnects = 0
+        self._disconnect_lock = threading.Lock()
         self._server: Optional[_ObjectStoreHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
+
+    def note_client_disconnect(self, client_address, exc) -> None:
+        """Count a mid-response client hang-up: one warning on the first,
+        a ``log_lines`` entry per event, never a traceback — chaos plans
+        disconnect on purpose, hundreds of times per CI run."""
+        with self._disconnect_lock:
+            self.n_client_disconnects += 1
+            first = self.n_client_disconnects == 1
+        self.log_lines.append(
+            f"client disconnect from {client_address}: "
+            f"{type(exc).__name__}"
+        )
+        if first:
+            log.warning(
+                "client %s disconnected mid-response (%s); further "
+                "disconnects are counted silently",
+                client_address,
+                type(exc).__name__,
+            )
 
     # ------------------------------------------------------------------ #
     # stale-read history (one-deep, recorded only when a plan wants it)
@@ -1080,11 +1054,8 @@ class ObjectStoreService(ClientDisconnectLog):
 
 
 __all__ = [
-    "DISCONNECT_ERRORS",
     "CircuitBreaker",
-    "ClientDisconnectLog",
     "CircuitBreakerDriver",
-    "DisconnectTolerantHTTPServer",
     "HttpDriver",
     "ObjectStoreService",
 ]

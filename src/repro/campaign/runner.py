@@ -56,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -251,12 +251,15 @@ def _call_with_timeout(fn, timeout_s: Optional[float]):
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Abandon a pool whose worker hung or died: never wait on it."""
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except TypeError:  # pragma: no cover - very old signature
-        pool.shutdown(wait=False)
-    for process in list(getattr(pool, "_processes", {}).values() or []):
+    """Abandon a pool whose worker hung or died: never wait on it.
+
+    Idempotent. The worker handles are snapshotted *before*
+    ``shutdown``, which drops them; a pool already shut down (or broken,
+    whose manager reaps its own workers) leaves nothing to terminate.
+    """
+    workers = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
         try:
             process.terminate()
         except Exception:  # pragma: no cover - best effort
@@ -343,14 +346,6 @@ class CampaignRunner:
         When True, permanently-failed points are reported on
         :attr:`CampaignRun.failures` instead of raising
         :class:`~repro.errors.CampaignExecutionError`.
-    on_result:
-        Optional progress callback ``(index, result)`` invoked from
-        the runner thread the moment each point resolves (cache hit or
-        fresh computation) — the in-process streaming hook the
-        campaign service node uses to publish incremental results.
-        Indices arrive in no particular order under a process pool;
-        callers needing spec order must reorder. A raising callback is
-        logged and ignored: an observer must never corrupt a run.
     """
 
     def __init__(
@@ -366,9 +361,6 @@ class CampaignRunner:
         wait_poll_s: float = 0.1,
         wait_timeout_s: Optional[float] = None,
         allow_partial: bool = False,
-        on_result: Optional[
-            Callable[[int, "CampaignPointResult"], None]
-        ] = None,
     ) -> None:
         self._fault_plan = (
             fault_plan if fault_plan is not None else FaultPlan.from_env()
@@ -385,7 +377,6 @@ class CampaignRunner:
         self._wait_poll_s = float(wait_poll_s)
         self._wait_timeout_s = wait_timeout_s
         self._allow_partial = bool(allow_partial)
-        self._on_result = on_result
         self._storage_degraded = False
 
     @property
@@ -422,7 +413,7 @@ class CampaignRunner:
                 else None
             )
             if cached is not None:
-                self._resolve(outcome, index, cached)
+                outcome[index] = cached
             else:
                 pending.append(index)
 
@@ -488,23 +479,6 @@ class CampaignRunner:
             failures=[failures[i] for i in sorted(failures)],
             storage_degraded=self._storage_degraded,
         )
-
-    def _resolve(
-        self,
-        outcome: Dict[int, CampaignPointResult],
-        index: int,
-        result: CampaignPointResult,
-    ) -> None:
-        """Record a resolved point and notify the progress observer."""
-        outcome[index] = result
-        if self._on_result is not None:
-            try:
-                self._on_result(index, result)
-            except Exception:
-                log.exception(
-                    "on_result progress callback failed for point %d",
-                    index,
-                )
 
     def _cached_result(
         self, point: CampaignPoint
@@ -631,17 +605,13 @@ class CampaignRunner:
                     )
                     if leases is not None:
                         leases.release(hashes[index])
-                    self._resolve(
-                        outcome,
-                        index,
-                        CampaignPointResult(
-                            point=points[index],
-                            metrics=NetworkMetrics(**metrics_dict),
-                            provenance=provenance,
-                            cached=False,
-                            elapsed_s=elapsed,
-                            attempts=1,
-                        ),
+                    outcome[index] = CampaignPointResult(
+                        point=points[index],
+                        metrics=NetworkMetrics(**metrics_dict),
+                        provenance=provenance,
+                        cached=False,
+                        elapsed_s=elapsed,
+                        attempts=1,
                     )
         finally:
             if broken:
@@ -704,7 +674,7 @@ class CampaignRunner:
                 if self._store_has(point):
                     cached = self._cached_result(point)
                     if cached is not None:
-                        self._resolve(outcome, index, cached)
+                        outcome[index] = cached
                         progressed = True
                         continue
                 # Degraded storage bypasses leases: claims go through
@@ -728,7 +698,7 @@ class CampaignRunner:
                         cached = self._cached_result(point)
                         if cached is not None:
                             leases.release(content_hash)
-                            self._resolve(outcome, index, cached)
+                            outcome[index] = cached
                             progressed = True
                             continue
                 start_attempt = attempts_done.get(index, 0) + 1
@@ -748,17 +718,13 @@ class CampaignRunner:
                         elapsed,
                         attempt=n_attempts,
                     )
-                    self._resolve(
-                        outcome,
-                        index,
-                        CampaignPointResult(
-                            point=point,
-                            metrics=NetworkMetrics(**metrics_dict),
-                            provenance=provenance,
-                            cached=False,
-                            elapsed_s=elapsed,
-                            attempts=n_attempts,
-                        ),
+                    outcome[index] = CampaignPointResult(
+                        point=point,
+                        metrics=NetworkMetrics(**metrics_dict),
+                        provenance=provenance,
+                        cached=False,
+                        elapsed_s=elapsed,
+                        attempts=n_attempts,
                     )
                 except _PointFailed as failed:
                     failures[index] = CampaignPointFailure(

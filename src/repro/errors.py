@@ -97,16 +97,6 @@ class CircuitOpenError(PersistentStorageError):
     unchanged."""
 
 
-class CampaignServiceError(CampaignError):
-    """The campaign service node rejected or could not complete a
-    request (malformed spec, unknown campaign, a subscriber dropped for
-    falling too far behind the result stream). Wire-level transport
-    failures raise :class:`TransientStorageError` /
-    :class:`PersistentStorageError` instead, so the client's retry and
-    circuit-breaker machinery treats the service exactly like a remote
-    store."""
-
-
 class PointTimeoutError(CampaignError):
     """A campaign point exceeded its per-point execution timeout."""
 

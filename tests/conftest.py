@@ -1,5 +1,7 @@
 """Shared fixtures for the NetScatter reproduction test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,31 @@ def small_config():
         bandwidth_hz=125e3, spreading_factor=6, skip=2,
         n_association_shifts=0,
     )
+
+
+@pytest.fixture
+def spawned_pools(monkeypatch):
+    """Count the real process pools a module constructs.
+
+    Call it with the module whose ``ProcessPoolExecutor`` name the code
+    under test resolves; it returns the list every construction is
+    appended to. A pool test that passes through the serial fallback
+    proves nothing about the pool path, so the test is skipped on a
+    1-CPU host, where ``resolve_pool_workers`` never spawns a pool.
+    """
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("1-CPU host: resolve_pool_workers never spawns a pool")
+    spawned = []
+
+    def count(module):
+        real = module.ProcessPoolExecutor
+
+        class CountingPool(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(module, "ProcessPoolExecutor", CountingPool)
+        return spawned
+
+    return count

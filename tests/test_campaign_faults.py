@@ -18,9 +18,11 @@ The load-bearing pins:
 """
 
 import json
-import multiprocessing
+import multiprocessing.connection
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -707,10 +709,41 @@ class TestPoolDegradation:
         assert all(r.attempts == 2 for r in run.results)
         assert runner.store.failures() == []
 
-    def test_injected_worker_kill_completes_campaign(self, tmp_path):
-        """End to end: a kill fault in a real pool worker (or, on a
-        1-CPU host, its crash degradation in the serial path) never
-        loses the campaign."""
+    def test_terminate_pool_on_broken_pool(self):
+        """Regression: a broken pool has already dropped its worker
+        handles, and teardown runs once per fault plus once in the
+        ``finally`` — neither call may raise."""
+        pool = ProcessPoolExecutor(max_workers=1)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result(timeout=30)
+        campaign_runner._terminate_pool(pool)
+        campaign_runner._terminate_pool(pool)
+
+    def test_terminate_pool_kills_a_hung_worker(self):
+        before = set(multiprocessing.active_children())
+        pool = ProcessPoolExecutor(max_workers=1)
+        future = pool.submit(time.sleep, 60)
+        with pytest.raises(FuturesTimeoutError):
+            future.result(timeout=0.5)
+        workers = set(multiprocessing.active_children()) - before
+        assert workers
+        campaign_runner._terminate_pool(pool)
+        # Wait on the exit sentinels, not is_alive(): the pool's manager
+        # thread may reap the worker first, and is_alive() then misses
+        # the exit status.
+        sentinels = [worker.sentinel for worker in workers]
+        deadline = time.monotonic() + 10.0
+        while sentinels and time.monotonic() < deadline:
+            for ready in multiprocessing.connection.wait(sentinels, 1.0):
+                sentinels.remove(ready)
+        assert not sentinels, "hung pool worker survived teardown"
+
+    def test_injected_worker_kill_completes_campaign(
+        self, tmp_path, spawned_pools
+    ):
+        """End to end: a kill fault in a real pool worker breaks the
+        pool, and the campaign still completes serially."""
+        pools = spawned_pools(campaign_runner)
         spec = small_spec()
         plan = plan_from(
             [
@@ -730,30 +763,30 @@ class TestPoolDegradation:
             use_leases=False,
         )
         run = runner.run(spec)
+        assert len(pools) == 1
         assert not run.failures
         assert {r.point.n_devices for r in run.results} == {1, 2}
         assert len(runner.store) == 2
+        # The killed point's pool attempt counts before its serial retry.
+        killed = [r for r in run.results if r.point.n_devices == 1]
+        assert killed[0].attempts == 2
 
     def test_network_sweep_finishes_serially_after_pool_break(
-        self, monkeypatch, caplog
+        self, monkeypatch, caplog, spawned_pools
     ):
-        class _PartialPool:
-            """Yields the first sweep point, then breaks."""
+        pools = spawned_pools(network_module)
+        real_pool = network_module.ProcessPoolExecutor
 
-            def __init__(self, max_workers=None):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
+        class _PartialPool(real_pool):
+            """A real pool that yields the first sweep point, then
+            breaks."""
 
             def map(self, fn, jobs):
                 jobs = list(jobs)
+                first = super().map(fn, jobs[:1])
 
                 def results():
-                    yield fn(jobs[0])
+                    yield from first
                     raise BrokenProcessPool("worker died mid-sweep")
 
                 return results()
@@ -765,13 +798,11 @@ class TestPoolDegradation:
         monkeypatch.setattr(
             network_module, "ProcessPoolExecutor", _PartialPool
         )
-        monkeypatch.setattr(
-            network_module, "resolve_pool_workers", lambda w: 2
-        )
         with caplog.at_level("WARNING", logger="repro.protocol.network"):
             degraded = sweep_device_counts(
                 deployment, (1, 2), n_rounds=1, rng=0, workers=2
             )
+        assert len(pools) == 1
         assert any(
             "finishing the remaining points serially" in r.message
             for r in caplog.records

@@ -188,17 +188,22 @@ class TestExportAndSpecErrors:
         assert code == 2
         assert "--seed" in err and "preset" in err
 
-    def test_bad_service_url_exits_2(self, capsys):
-        code, _, err = run_entry(
-            capsys,
-            "submit",
-            "--service",
-            "ftp://somewhere",
-            "--spec",
-            "fig17",
-        )
-        assert code == 2
-        assert "http(s)" in err
+    def test_retired_service_subcommands_rejected(self, capsys):
+        # argparse rejects an unknown subcommand before any I/O, and
+        # the choices it offers are exactly the four subcommands: any
+        # other name, the campaign-API ones included, is rejected too.
+        with pytest.raises(SystemExit) as excinfo:
+            entrypoint(["submit", "--spec", "fig17"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "submit" in err
+        offered = err.split("choose from", 1)[1].split(")", 1)[0]
+        assert [c.strip(" '") for c in offered.split(",")] == [
+            "run",
+            "status",
+            "export",
+            "serve",
+        ]
 
 
 CRASH_ALL_ATTEMPTS = json.dumps(

@@ -36,8 +36,6 @@ DOCUMENTED_MODULES = [
     "repro.campaign.runner",
     "repro.campaign.storage",
     "repro.campaign.objectstore",
-    "repro.campaign.service",
-    "repro.campaign.client",
     "repro.core.allocation",
     "repro.core.capacity",
     "repro.protocol.population",
@@ -86,12 +84,6 @@ DOC_ANCHORS = {
         "If-None-Match: *",
         "CircuitOpenError",
         "half-open",
-        "serve-api",
-        "POST /campaigns",
-        "/healthz",
-        "campaign_id_for",
-        "CampaignServiceClient",
-        "max_backlog",
         "points_computed == 0",
     ],
     "docs/SCALING.md": [
@@ -126,10 +118,6 @@ DOC_ANCHORS = {
         "repro.campaign serve",
         "http://hostA:8123/campaign",
         "network-chaos",
-        "serve-api",
-        "--service http://hostA:8124",
-        "/healthz",
-        "service-chaos",
         "docs/SCALING.md",
         "--devices 100000",
         "hybrid fidelity",
@@ -158,10 +146,6 @@ class TestCiPipeline:
             "network-chaos",
             "repro.campaign serve",
             "--storage-driver http://",
-            "service-chaos",
-            "serve-api",
-            "--service-fault-plan",
-            "submit --service",
             "scale-smoke",
             "test_population_scale.py",
         ):

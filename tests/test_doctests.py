@@ -10,11 +10,9 @@ import doctest
 
 import pytest
 
-import repro.campaign.client
 import repro.campaign.faults
 import repro.campaign.objectstore
 import repro.campaign.runner
-import repro.campaign.service
 import repro.campaign.spec
 import repro.campaign.storage
 import repro.campaign.store
@@ -39,8 +37,6 @@ MODULES_WITH_DOCTESTS = [
     repro.campaign.faults,
     repro.campaign.runner,
     repro.campaign.objectstore,
-    repro.campaign.service,
-    repro.campaign.client,
     repro.core.allocation,
     repro.core.capacity,
     repro.protocol.population,

@@ -1,10 +1,10 @@
 """Property-based tests (hypothesis) on the campaign spec/hash layer.
 
-The invariants the service node's dedup and read-through cache stand
-on: canonical JSON makes :func:`campaign_id_for` and point content
-hashes insensitive to key order; grid-axis permutations move point
-*order*, never the *set* of content hashes; any value perturbation
-moves the hash; and a grid over distinct axis values never collides.
+The invariants the store's content-hash read-through cache stands on:
+canonical JSON makes point content hashes insensitive to key order;
+grid-axis permutations move point *order*, never the *set* of content
+hashes; any value perturbation moves the hash; and a grid over
+distinct axis values never collides.
 """
 
 import json
@@ -12,7 +12,6 @@ from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign.service import campaign_id_for
 from repro.campaign.spec import CampaignPoint, CampaignSpec
 from repro.phy.noise import NOISE_MODES
 from repro.protocol.network import ENGINES
@@ -112,14 +111,6 @@ class TestSpecRoundTrip:
             p.content_hash() for p in spec.points()
         ]
 
-    @settings(max_examples=40, deadline=None)
-    @given(specs())
-    def test_campaign_id_ignores_key_order(self, spec):
-        forward = spec.to_dict()
-        assert campaign_id_for(_shuffle_keys(forward)) == (
-            campaign_id_for(forward)
-        )
-
 
 class TestHashInvariance:
     @settings(max_examples=40, deadline=None)
@@ -176,18 +167,6 @@ class TestHashInvariance:
             replace(point, fading=not point.fading).content_hash()
             != baseline
         )
-
-    @settings(max_examples=40, deadline=None)
-    @given(specs(), st.integers(1, 2**16))
-    def test_spec_value_perturbation_moves_the_campaign_id(
-        self, spec, delta
-    ):
-        baseline = campaign_id_for(spec.to_dict())
-        shifted = replace(
-            spec,
-            point_seeds=tuple(s + delta for s in spec.point_seeds),
-        )
-        assert campaign_id_for(shifted.to_dict()) != baseline
 
 
 class TestExpansion:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.protocol.network as network_module
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.errors import ConfigurationError, ProtocolError
@@ -182,8 +183,9 @@ class TestSweep:
         assert [m.n_devices for m in metrics] == [8, 32]
         assert all(m.delivery_ratio > 0.9 for m in metrics)
 
-    def test_worker_pool_matches_serial(self):
+    def test_worker_pool_matches_serial(self, spawned_pools):
         """Process-pool sweeps reproduce the serial results exactly."""
+        pools = spawned_pools(network_module)
         deployment = paper_deployment(n_devices=16, rng=3)
         serial = sweep_device_counts(
             deployment, (4, 8, 16), n_rounds=2, rng=6
@@ -191,6 +193,7 @@ class TestSweep:
         pooled = sweep_device_counts(
             deployment, (4, 8, 16), n_rounds=2, rng=6, workers=2
         )
+        assert len(pools) == 1
         for a, b in zip(serial, pooled):
             assert a == b
 

@@ -375,6 +375,8 @@ class TestFaultyDriver:
             StorageFaultRule(kind="error", p=1.5)
         with pytest.raises(ConfigurationError):
             StorageFaultRule(kind="nope")
+        with pytest.raises(ConfigurationError):
+            StorageFaultRule(kind="refuse", op="submit")
 
     def test_from_env_inline_and_unset(self, monkeypatch):
         monkeypatch.delenv(STORAGE_FAULT_PLAN_ENV, raising=False)
