@@ -15,10 +15,9 @@ wall-clock:
 * the Fig. 17 sweep's 256-device point alone, ``auto`` vs ``analytic``
   (the planner's headline crossover win at ``D = N/2``);
 * fading rounds at 100 rounds x 64 devices: the batched AR(1)-track
-  path vs the in-tree ``fading_mode="per_round"`` execution vs a
-  seed-style reconstruction (per-round Python loop, full-FFT readout,
-  time-domain AWGN, per-device Python scoring — the same baseline
-  styling as ``fig12.per_round_fft``);
+  path vs a seed-style reconstruction (per-round Python loop, full-FFT
+  readout, time-domain AWGN, per-device Python scoring — the same
+  baseline styling as ``fig12.per_round_fft``);
 * the same batched fading decode under the two engine-noise streams:
   ``noise_mode="payload"`` (located ``±1``-bin payload draws, stream
   version 2) vs ``noise_mode="full"`` (every readout bin, version 1 —
@@ -307,7 +306,7 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
 
 def _time_fading(n_rounds: int = FADING_ROUNDS,
                  n_devices: int = FADING_DEVICES) -> dict:
-    """Fading rounds: batched AR(1) tracks vs the per-round executions."""
+    """Fading rounds: batched AR(1) tracks vs the seed-style loop."""
     config = NetScatterConfig(n_association_shifts=0)
     report: dict = {"n_rounds": n_rounds, "n_devices": n_devices}
 
@@ -325,8 +324,6 @@ def _time_fading(n_rounds: int = FADING_ROUNDS,
     }
 
     for label, kwargs in (
-        ("per_round_mode", {"engine": "analytic",
-                            "fading_mode": "per_round"}),
         ("batched_analytic", {"engine": "analytic"}),
         ("batched_auto", {"engine": "auto"}),
     ):
@@ -340,11 +337,6 @@ def _time_fading(n_rounds: int = FADING_ROUNDS,
         }
     report["speedup_batched_vs_legacy"] = round(
         report["per_round_fft_legacy"]["wall_clock_s"]
-        / report["batched_auto"]["wall_clock_s"],
-        2,
-    )
-    report["speedup_batched_vs_per_round_mode"] = round(
-        report["per_round_mode"]["wall_clock_s"]
         / report["batched_auto"]["wall_clock_s"],
         2,
     )

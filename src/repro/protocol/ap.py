@@ -17,7 +17,7 @@ from repro.core.receiver import NetScatterReceiver
 from repro.errors import AssociationError, ProtocolError
 from repro.protocol.association import AssociationController
 from repro.protocol.messages import AssociationResponse, QueryMessage
-from repro.protocol.scheduler import GroupScheduler
+from repro.protocol.scheduler import GroupScheduler, check_duty_cycle
 
 
 @dataclass
@@ -35,17 +35,12 @@ class AccessPoint:
     """The NetScatter AP."""
 
     def __init__(
-        self,
-        config: NetScatterConfig,
-        group_span_db: float = 35.0,
-        backend: str = "flat",
+        self, config: NetScatterConfig, group_span_db: float = 35.0
     ) -> None:
         self._config = config
-        self._association = AssociationController(config, backend=backend)
+        self._association = AssociationController(config)
         self._scheduler = GroupScheduler(
-            max_group_size=config.max_devices,
-            group_span_db=group_span_db,
-            backend=backend,
+            max_group_size=config.max_devices, group_span_db=group_span_db
         )
         self._needs_reassignment_query = False
         self._device_snrs: Dict[int, float] = {}
@@ -58,10 +53,6 @@ class AccessPoint:
     @property
     def association(self) -> AssociationController:
         return self._association
-
-    @property
-    def backend(self) -> str:
-        return self._association.backend
 
     @property
     def scheduler(self) -> GroupScheduler:
@@ -85,8 +76,10 @@ class AccessPoint:
 
         Models the request -> grant-on-query -> ACK exchange with the
         radio legs assumed delivered (the waveform-level association is
-        exercised separately in the integration tests).
+        exercised separately in the integration tests). The duty cycle is
+        checked first, so a rejected call leaves no trace.
         """
+        check_duty_cycle(duty_cycle_rounds)
         grant, reassigned = self._association.handle_request(
             device_id, measured_snr_db
         )
@@ -117,6 +110,7 @@ class AccessPoint:
         one grant query per device at the (constant) grant-query size —
         so protocol-overhead accounting matches the serial path.
         """
+        check_duty_cycle(duty_cycle_rounds)
         ids = [int(d) for d in device_ids]
         shifts, reassigned = self._association.bulk_associate(ids, snrs_db)
         n = len(ids)

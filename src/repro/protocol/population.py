@@ -1,27 +1,22 @@
 """Flat-array population state: the million-device protocol backbone.
 
-The protocol layer used to carry one Python object per device — an
-``AllocationEntry`` in the allocation table, a ``PendingAssociation`` in
-the association controller, a ``ScheduledDevice`` in the scheduler. At
-the paper's 256 devices that is invisible; at the "million-device
-protocol scale" item on the roadmap it *is* the cost, because every
-admit, re-rank and round walks Python dictionaries. This module applies
-the batched-fading treatment (PR 3's ``step_tracks`` idiom) to protocol
-state: one :class:`Population` holds the whole AP-cluster as parallel
-NumPy columns (SNR, assigned shift, association phase, grant/backoff
-counters, duty cycle, per-device seeds), and the protocol classes become
-thin views that update masked slices of it.
+One Python object per device is invisible at the paper's 256 devices
+but is the whole cost at population scale, where every admit, re-rank
+and round would walk Python dictionaries. So protocol state is flat:
+one :class:`Population` holds the whole AP-cluster as parallel NumPy
+columns (SNR, assigned shift, association phase, grant/backoff
+counters, per-device seeds), and the protocol classes are thin views
+that update masked slices of it.
 
 Two layers live here:
 
 * **State + kernels** — :class:`Population` (struct-of-arrays with
   amortised growth and O(1) id lookup) and the vectorised allocation
   kernels (:func:`spread_slot_indices`, :func:`spread_shifts`,
-  :func:`power_aware_shifts`, :func:`span_group_bounds`,
-  :func:`assign_cluster`) that replace the per-device loops in
-  ``core/allocation.py`` and the scheduler. The kernels are pinned
-  bit-identical to the legacy object path by
-  ``tests/test_population_scale.py``.
+  :func:`span_group_bounds`, :func:`assign_cluster`) behind
+  ``core/allocation.py`` and the scheduler. They are pinned
+  bit-identical to the per-device-object reference in
+  ``tests/oracles/`` by ``tests/test_population_scale.py``.
 * **Hybrid fidelity** — :func:`split_fidelity` routes each similar-SNR
   group either to the closed-form link law (``core/capacity.py``,
   calibrated against the decode engine) or to an engine-level
@@ -80,8 +75,7 @@ from repro.core.config import NetScatterConfig
 from repro.errors import AllocationError, ConfigurationError
 from repro.utils.rng import RngLike, make_rng
 
-#: Association lifecycle encoded in :attr:`Population.phase`
-#: (mirrors ``repro.protocol.association.AssociationPhase``).
+#: Association lifecycle encoded in :attr:`Population.phase`.
 PHASE_REQUESTED = 0
 PHASE_GRANTED = 1
 PHASE_CONFIRMED = 2
@@ -112,10 +106,6 @@ class Population:
     ``granted_shift``
         int64 shift frozen into the grant message (stays stale if a
         later admit re-packs the ring — protocol-visible behaviour).
-    ``duty_cycle_rounds`` / ``rounds_since_tx``
-        int64 scheduler duty-cycle state.
-    ``group``
-        int64 scheduler group index; ``-1`` while ungrouped.
     ``seed``
         int64 per-device seed (see :meth:`derive_seeds`).
 
@@ -131,9 +121,6 @@ class Population:
         ("phase", np.int8, PHASE_CONFIRMED),
         ("grant_repeats", np.int64, 0),
         ("granted_shift", np.int64, -1),
-        ("duty_cycle_rounds", np.int64, 1),
-        ("rounds_since_tx", np.int64, 0),
-        ("group", np.int64, -1),
         ("seed", np.int64, 0),
     )
 
@@ -183,18 +170,6 @@ class Population:
     @property
     def granted_shift(self) -> np.ndarray:
         return self._column("granted_shift")
-
-    @property
-    def duty_cycle_rounds(self) -> np.ndarray:
-        return self._column("duty_cycle_rounds")
-
-    @property
-    def rounds_since_tx(self) -> np.ndarray:
-        return self._column("rounds_since_tx")
-
-    @property
-    def group(self) -> np.ndarray:
-        return self._column("group")
 
     @property
     def seed(self) -> np.ndarray:
@@ -323,7 +298,8 @@ class Population:
 def spread_slot_indices(n_devices: int, n_slots: int) -> np.ndarray:
     """Folded slot indices for descending-SNR ranks, cached per shape.
 
-    The vectorised form of the legacy per-rank loop: even ranks walk the
+    Below capacity, occupied slots spread evenly over the ring (the
+    effective SKIP >= 3 separation of Section 4.4); even ranks walk the
     evenly-spread positions forward from the first spectrum edge, odd
     ranks walk them backward from the other edge, so the weakest devices
     land mid-ring at maximum cyclic distance from the strong edges.
@@ -351,9 +327,8 @@ def spread_shifts(
     """Per-row spread shifts for a population (stable ranking).
 
     ``slots`` is the ring-ordered data-slot array; row ``i`` of the
-    result is device ``i``'s shift under the canonical folded spread —
-    the allocation table's ``_spread_assignment`` as one argsort plus
-    two gathers.
+    result is device ``i``'s shift under the canonical folded spread,
+    as one argsort plus two gathers.
 
     >>> import numpy as np
     >>> spread_shifts(np.array([-10.0, -30.0, -20.0]),
@@ -363,25 +338,6 @@ def spread_shifts(
     snrs = np.asarray(snrs_db, dtype=np.float64)
     n = snrs.size
     order = np.argsort(-snrs, kind="stable")
-    indices = spread_slot_indices(n, int(np.asarray(slots).size))
-    shifts = np.empty(n, dtype=np.int64)
-    shifts[order] = np.asarray(slots, dtype=np.int64)[indices]
-    return shifts
-
-
-def power_aware_shifts(
-    snrs_db: np.ndarray, slots: np.ndarray
-) -> np.ndarray:
-    """One-shot power-aware allocation kernel (argsort ranking).
-
-    The vectorised body of
-    :func:`repro.core.allocation.power_aware_allocation`: ranks with the
-    same ``np.argsort(snrs)[::-1]`` expression the legacy loop used (so
-    tie order is bit-identical) and gathers the folded spread slots.
-    """
-    snrs = np.asarray(snrs_db, dtype=np.float64)
-    n = snrs.size
-    order = np.argsort(snrs)[::-1]
     indices = spread_slot_indices(n, int(np.asarray(slots).size))
     shifts = np.empty(n, dtype=np.int64)
     shifts[order] = np.asarray(slots, dtype=np.int64)[indices]
@@ -421,9 +377,9 @@ def assign_cluster(
     """Partition a population into schedulable similar-SNR groups.
 
     Greedy span grouping over the descending-SNR order (identical to
-    the scheduler's legacy ``snr_groups`` + max-size split), each group
-    capped at ``config.max_devices``. Returns one row-index array per
-    group, members in descending-SNR order.
+    :func:`repro.core.power_control.snr_groups` plus a max-size split),
+    each group capped at ``config.max_devices``. Returns one row-index
+    array per group, members in descending-SNR order.
     """
     snrs = np.asarray(snrs_db, dtype=np.float64)
     if snrs.size == 0:

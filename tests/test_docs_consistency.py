@@ -88,7 +88,7 @@ DOC_ANCHORS = {
     ],
     "docs/SCALING.md": [
         "Population",
-        "backend=\"object\"",
+        "tests/oracles/",
         "bulk_add",
         "spread_slot_indices",
         "span_group_bounds",

@@ -2,10 +2,11 @@
 
 Pins the tentpole invariants of the flat-array population layer:
 
-* the flat (struct-of-arrays) backends of :class:`AllocationTable`,
+* the flat (struct-of-arrays) :class:`AllocationTable`,
   :class:`AssociationController` and :class:`GroupScheduler` make
-  *bit-identical* decisions to the legacy per-device-object backends,
-  across spreading factors and device counts up to 256, over randomised
+  *bit-identical* decisions to the per-device-object reference
+  implementations in ``tests/oracles/object_protocol.py``, across
+  spreading factors and device counts up to 256, over randomised
   add / SNR-update / remove / bulk operation sequences;
 * the hybrid fidelity split is a seeded pure function (same population
   + same seed -> same routing, same metrics) and its closed-form legs
@@ -20,6 +21,11 @@ Pins the tentpole invariants of the flat-array population layer:
 import numpy as np
 import pytest
 
+from oracles.object_protocol import (
+    ObjectAllocationTable,
+    ObjectAssociationController,
+    ObjectGroupScheduler,
+)
 from repro.channel.deployment import Deployment
 from repro.channel.link import LinkBudget
 from repro.core.allocation import (
@@ -70,8 +76,8 @@ class TestAllocationBackendEquivalence:
             pytest.skip("count exceeds this SF's capacity")
         rng = np.random.default_rng(1000 + sf * 7 + n)
         snrs = rng.uniform(-45.0, 10.0, size=n)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         for device_id, snr in enumerate(snrs):
             res_flat = flat.add_device(device_id, float(snr))
             res_obj = legacy.add_device(device_id, float(snr))
@@ -84,8 +90,8 @@ class TestAllocationBackendEquivalence:
     def test_mixed_operation_sequence_bit_identical(self, sf):
         config = _config(sf)
         rng = np.random.default_rng(4242 + sf)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         live = []
         next_id = 0
         for _ in range(300):
@@ -126,8 +132,8 @@ class TestAllocationBackendEquivalence:
         n = min(128, len(_data_slots(config)))
         ids = list(range(n))
         snrs = rng.uniform(-40.0, 5.0, size=n)
-        flat = AllocationTable(config, backend="flat")
-        legacy = AllocationTable(config, backend="object")
+        flat = AllocationTable(config)
+        legacy = ObjectAllocationTable(config)
         shifts_flat, re_flat = flat.bulk_add(ids, snrs)
         shifts_obj, re_obj = legacy.bulk_add(ids, snrs)
         assert shifts_flat.tolist() == shifts_obj.tolist()
@@ -139,8 +145,8 @@ class TestAllocationBackendEquivalence:
 
     def test_error_parity(self):
         config = _config(9)
-        for backend in ("flat", "object"):
-            table = AllocationTable(config, backend=backend)
+        for backend in (AllocationTable, ObjectAllocationTable):
+            table = backend(config)
             table.add_device(1, -10.0)
             with pytest.raises(AllocationError, match="already allocated"):
                 table.add_device(1, -12.0)
@@ -149,12 +155,13 @@ class TestAllocationBackendEquivalence:
             with pytest.raises(AllocationError, match="not allocated"):
                 table.remove_device(99)
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(AllocationError, match="backend"):
-            AllocationTable(_config(9), backend="columnar")
-
 
 class TestAssociationBackendEquivalence:
+    BACKENDS = {
+        "flat": AssociationController,
+        "object": ObjectAssociationController,
+    }
+
     # SF 12 is excluded: its shift range exceeds the grant message's
     # 8-bit SKIP-grid field — a message-format constraint that hits
     # both backends identically and is tested in the messages suite.
@@ -162,8 +169,8 @@ class TestAssociationBackendEquivalence:
     def test_grant_ack_lifecycle_bit_identical(self, sf):
         config = _assoc_config(sf)
         rng = np.random.default_rng(500 + sf)
-        flat = AssociationController(config, backend="flat")
-        legacy = AssociationController(config, backend="object")
+        flat = AssociationController(config)
+        legacy = ObjectAssociationController(config)
         for device_id in range(48):
             snr = float(rng.uniform(-45.0, 5.0))
             g_flat, r_flat = flat.handle_request(device_id, snr)
@@ -181,8 +188,8 @@ class TestAssociationBackendEquivalence:
 
     def test_grant_abandoned_after_max_repeats_on_both(self):
         config = _assoc_config(9)
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for make in self.BACKENDS.values():
+            ctrl = make(config)
             ctrl.handle_request(7, -20.0)
             for _ in range(AssociationController.MAX_GRANT_REPEATS - 1):
                 ctrl.handle_request(7, -20.0)
@@ -200,8 +207,8 @@ class TestAssociationBackendEquivalence:
         keeps repeating the originally granted shift on both backends."""
         config = _assoc_config(9)
         grants = {}
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for backend, make in self.BACKENDS.items():
+            ctrl = make(config)
             first, _ = ctrl.handle_request(1, -30.0)
             # A stronger newcomer re-packs the ring under device 1.
             ctrl.handle_request(2, -5.0)
@@ -213,8 +220,8 @@ class TestAssociationBackendEquivalence:
 
     def test_unexpected_ack_parity(self):
         config = _assoc_config(9)
-        for backend in ("flat", "object"):
-            ctrl = AssociationController(config, backend=backend)
+        for make in self.BACKENDS.values():
+            ctrl = make(config)
             with pytest.raises(AssociationError, match="unexpected ACK"):
                 ctrl.handle_ack(3)
             ctrl.handle_request(3, -20.0)
@@ -227,8 +234,8 @@ class TestAssociationBackendEquivalence:
         rng = np.random.default_rng(9)
         ids = list(range(200))
         snrs = rng.uniform(-45.0, 5.0, size=len(ids))
-        flat = AssociationController(config, backend="flat")
-        legacy = AssociationController(config, backend="object")
+        flat = AssociationController(config)
+        legacy = ObjectAssociationController(config)
         s_flat, r_flat = flat.bulk_associate(ids, snrs)
         s_obj, r_obj = legacy.bulk_associate(ids, snrs)
         assert s_flat.tolist() == s_obj.tolist()
@@ -242,8 +249,8 @@ class TestSchedulerBackendEquivalence:
     @pytest.mark.parametrize("max_group", (4, 64, 256))
     def test_round_robin_sequences_bit_identical(self, max_group):
         rng = np.random.default_rng(31 + max_group)
-        flat = GroupScheduler(max_group_size=max_group, backend="flat")
-        legacy = GroupScheduler(max_group_size=max_group, backend="object")
+        flat = GroupScheduler(max_group_size=max_group)
+        legacy = ObjectGroupScheduler(max_group_size=max_group)
         for device_id in range(97):
             snr = float(rng.uniform(-60.0, 0.0))
             duty = int(rng.integers(1, 4))
@@ -273,8 +280,8 @@ class TestSchedulerBackendEquivalence:
         assert serial.groups == bulk.groups
 
     def test_error_parity(self):
-        for backend in ("flat", "object"):
-            sched = GroupScheduler(max_group_size=8, backend=backend)
+        for backend in (GroupScheduler, ObjectGroupScheduler):
+            sched = backend(max_group_size=8)
             sched.add_device(1, -10.0)
             with pytest.raises(ProtocolError, match="already scheduled"):
                 sched.add_device(1, -12.0)
@@ -284,13 +291,21 @@ class TestSchedulerBackendEquivalence:
                 sched.add_device(3, -10.0, duty_cycle_rounds=0)
 
 
+def _object_access_point(config):
+    """An AccessPoint whose association and scheduler are the oracles."""
+    ap = AccessPoint(config)
+    ap._association = ObjectAssociationController(config)
+    ap._scheduler = ObjectGroupScheduler(max_group_size=config.max_devices)
+    return ap
+
+
 class TestAccessPointBackends:
     def test_association_flow_identical(self):
         config = NetScatterConfig()
         rng = np.random.default_rng(12)
         snrs = rng.uniform(-40.0, 0.0, size=64)
-        flat = AccessPoint(config, backend="flat")
-        legacy = AccessPoint(config, backend="object")
+        flat = AccessPoint(config)
+        legacy = _object_access_point(config)
         for device_id, snr in enumerate(snrs):
             assert flat.run_association(
                 device_id, float(snr)

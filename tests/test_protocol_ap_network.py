@@ -1,9 +1,12 @@
 """Unit tests for the access point and the network simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import repro.protocol.network as network_module
+from oracles.per_round_fading import PerRoundFadingSimulator
 from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.errors import ConfigurationError, ProtocolError
@@ -66,6 +69,24 @@ class TestAccessPoint:
         ap = AccessPoint(config)
         with pytest.raises(Exception):
             ap.update_member_snr(9, 10.0)
+
+    def test_bad_duty_cycle_rejected_before_any_state(self, config):
+        """A duty cycle below one round is refused before the AP
+        allocates, ACKs, counts or charges anything, so the same
+        device can then associate normally."""
+        ap = AccessPoint(config)
+        ap.run_association(0, 10.0)
+        stats = dataclasses.replace(ap.stats)
+        before = (ap.assignments(), ap.n_members, stats)
+        with pytest.raises(ProtocolError, match="duty cycle"):
+            ap.run_association(1, 20.0, duty_cycle_rounds=0)
+        with pytest.raises(ProtocolError, match="duty cycle"):
+            ap.bulk_associate([1, 2], [20.0, 5.0], duty_cycle_rounds=0)
+        assert (ap.assignments(), ap.n_members, ap.stats) == before
+        shift = ap.run_association(1, 20.0)
+        assert ap.assignments()[1] == shift
+        assert ap.n_members == 2
+        assert 1 in ap.next_round_devices()
 
 
 class TestNetworkSimulator:
@@ -225,24 +246,22 @@ class TestAdaptiveEngineAndFading:
             m.backend in ("analytic", "sparse", "fft") for m in metrics
         )
 
-    def test_invalid_fading_mode_rejected(self):
-        deployment = paper_deployment(n_devices=4, rng=3)
-        with pytest.raises(ConfigurationError):
-            NetworkSimulator(deployment, fading_mode="vectorised")
-
     def test_batched_fading_statistically_matches_per_round(self):
         """Same deployment, same seed: the batched AR(1)-track path and
-        the legacy per-round execution draw through different stream
+        the per-round reference (``tests/oracles/per_round_fading.py``)
+        draw through different stream
         interleavings, so metrics agree statistically, not bitwise.
         The nonzero reference scale must shift both paths alike."""
         outcomes = {}
-        for mode in ("batched", "per_round"):
+        for mode, simulator in (
+            ("batched", NetworkSimulator),
+            ("per_round", PerRoundFadingSimulator),
+        ):
             deployment = paper_deployment(n_devices=24, rng=6)
-            sim = NetworkSimulator(
+            sim = simulator(
                 deployment,
                 rng=7,
                 engine="analytic",
-                fading_mode=mode,
                 reference_snr_scale_db=4.0,
             )
             outcomes[mode] = sim.run_rounds(60, fading=True)

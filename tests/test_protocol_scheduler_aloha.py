@@ -73,6 +73,12 @@ class TestGroupScheduler:
         scheduler = GroupScheduler(max_group_size=4)
         with pytest.raises(ProtocolError):
             scheduler.add_device(0, snr_db=0.0, duty_cycle_rounds=0)
+        # Misaligned ids/SNRs are rejected before the roster changes.
+        with pytest.raises(ProtocolError, match="aligned"):
+            scheduler.bulk_add([1, 2, 3], [-10.0, -20.0])
+        assert scheduler.groups == []
+        scheduler.bulk_add([1, 2, 3], [-10.0, -20.0, -30.0])
+        assert scheduler.groups == [[1, 2, 3]]
 
     def test_empty_round(self):
         assert GroupScheduler(max_group_size=4).next_round() == []
