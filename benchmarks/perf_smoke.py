@@ -69,6 +69,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from repro.campaign import (
     CampaignRunner,
@@ -489,8 +490,9 @@ def validate_report(report: dict) -> dict:
     and the Fig. 18 reuse must have recomputed **zero** points (the
     campaign layer's cache contract). Section-*presence* rules (a
     quick run must carry ``fig17_point256`` + ``fading`` +
-    ``noise_modes`` + ``campaign``) apply
-    only to the **newest** run — the one the current tool produced.
+    ``noise_modes`` + ``campaign``) and the host fingerprint rule (a
+    positive integer ``host.cpu_count``) apply only to the **newest**
+    run — the one the current tool produced.
     The history is append-only and older runs were written by older
     section layouts; rejecting them would force hand-editing the
     accumulated trajectory, exactly what this file must never require.
@@ -540,6 +542,15 @@ def validate_report(report: dict) -> dict:
             raise ValueError(f"{where}.timestamp missing")
         if not isinstance(run.get("host"), dict):
             raise ValueError(f"{where}.host missing")
+        cpu_count = run["host"].get("cpu_count")
+        if index == len(runs) - 1 and (
+            not isinstance(cpu_count, int)
+            or isinstance(cpu_count, bool)
+            or cpu_count < 1
+        ):
+            raise ValueError(
+                f"{where}.host.cpu_count must be a positive integer"
+            )
         walk(run, where)
         if run.get("quick") and index == len(runs) - 1:
             for section in (
@@ -654,14 +665,29 @@ def _load_previous_runs(output: Path) -> list:
     return [{"note": "unrecognised schema, preserved as-is", "data": data}]
 
 
+def _cpu_model() -> str:
+    """The CPU model name from ``/proc/cpuinfo``, else ``platform``'s."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
 def main(quick: bool = False, output=None) -> dict:
     output = OUTPUT if output is None else Path(output)
     run = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "host": {
             "platform": platform.platform(),
+            "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     if quick:

@@ -19,7 +19,7 @@ Monte-Carlo takes over — is documented in ``docs/SCALING.md``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,41 +115,29 @@ OOK_DETECTION_SNR_DB = 3.0
 OOK_PREAMBLE_SYMBOLS = 6
 OOK_OFF_BIT_CANDIDATES = 3
 
-#: Post-despreading SNR above which every probability saturates (the
-#: χ² series is skipped and 0/1 returned); P(error) < 1e-30 there.
+#: Post-despreading SNR above which every probability saturates to
+#: exactly 0/1; P(error) < 1e-30 there.
 _SATURATION_RHO = 300.0
 
 
-def noncentral_chi2_cdf(
-    x, noncentrality, max_terms: int = 800
-) -> np.ndarray:
+def noncentral_chi2_cdf(x, noncentrality) -> np.ndarray:
     """CDF of the 2-DoF noncentral χ² distribution, vectorised.
 
-    ``P(χ²₂(λ) <= x)`` via the Poisson mixture of central χ² CDFs —
-    the exact distribution of ``|A + n|²`` readout power (complex
-    signal plus circular Gaussian noise), which is what every decision
-    in the OOK link law reduces to. Both arguments broadcast.
+    ``P(χ²₂(λ) <= x)`` — the exact distribution of ``|A + n|²`` readout
+    power (complex signal plus circular Gaussian noise), which is what
+    every decision in the OOK link law reduces to. Both arguments
+    broadcast. Evaluated by ``scipy.special.chndtr``; SciPy is imported
+    on first call, not with the package. The Poisson-mixture series
+    this replaced is the test oracle (``tests/oracles/chi2_series.py``).
 
     >>> float(round(noncentral_chi2_cdf(2.0, 0.0), 4))   # central case
     0.6321
     >>> float(noncentral_chi2_cdf(1e3, 0.0)) == 1.0
     True
     """
-    x = np.asarray(x, dtype=np.float64)
-    lam = np.asarray(noncentrality, dtype=np.float64)
-    x, lam = np.broadcast_arrays(x, lam)
-    half_lam = lam / 2.0
-    half_x = x / 2.0
-    poisson = np.exp(-half_lam)
-    term = np.exp(-half_x)
-    tail = term.copy()
-    cdf = np.zeros_like(half_x)
-    for k in range(max_terms):
-        cdf += poisson * (1.0 - tail)
-        poisson = poisson * half_lam / (k + 1)
-        term = term * half_x / (k + 1)
-        tail = tail + term
-    return np.clip(cdf, 0.0, 1.0)
+    from scipy.special import chndtr
+
+    return np.clip(chndtr(x, 2.0, noncentrality), 0.0, 1.0)
 
 
 def post_despreading_snr(
@@ -211,6 +199,41 @@ def preamble_detection_probability(
     return np.where(rho > _SATURATION_RHO, 1.0, p_detect)
 
 
+class OokLink(NamedTuple):
+    """Per-device ``(p_detect, symbol_ber)`` of the OOK link law; the
+    delivery and engine-scored BER derive from the pair."""
+
+    p_detect: np.ndarray
+    symbol_ber: np.ndarray
+
+    def delivery(self, payload_bits: float = OOK_EFFECTIVE_PAYLOAD_BITS):
+        """P(preamble detected *and* ``payload_bits`` bits correct)."""
+        return self.p_detect * (1.0 - self.symbol_ber) ** float(payload_bits)
+
+    @property
+    def scored_ber(self) -> np.ndarray:
+        """BER as the engine scores it: undetected rounds miss every bit."""
+        return 1.0 - self.p_detect * (1.0 - self.symbol_ber)
+
+
+def ook_link_law(snr_db, spreading_factor: int) -> OokLink:
+    """Closed-form ``(p_detect, symbol_ber)`` per device, vectorised.
+
+    Each noncentral-χ² term (on-bit miss, preamble gate) is evaluated
+    once, so delivery and BER over a whole population cost one pass.
+
+    >>> link = ook_link_law([0.0, -40.0], 9)
+    >>> link.delivery().round(3).tolist()
+    [1.0, 0.0]
+    """
+    rho = post_despreading_snr(snr_db, spreading_factor)
+    p_on, p_off = ook_bit_error_probabilities(rho)
+    return OokLink(
+        p_detect=preamble_detection_probability(snr_db, spreading_factor),
+        symbol_ber=0.5 * (p_on + p_off),
+    )
+
+
 def packet_delivery_probability(
     snr_db,
     spreading_factor: int,
@@ -220,20 +243,15 @@ def packet_delivery_probability(
 
     Delivery requires preamble detection *and* every payload bit
     correct (the CRC convention of ``NetworkSimulator.run_rounds``).
-    Payload bits are an even on/off mix; ``payload_bits`` defaults to
-    the engine-calibrated effective independent length (see
-    :data:`OOK_EFFECTIVE_PAYLOAD_BITS`).
+    ``payload_bits`` defaults to the engine-calibrated effective
+    independent length (see :data:`OOK_EFFECTIVE_PAYLOAD_BITS`).
 
     >>> float(packet_delivery_probability(0.0, 9)) == 1.0
     True
     >>> float(packet_delivery_probability(-40.0, 9)) < 1e-3
     True
     """
-    rho = post_despreading_snr(snr_db, spreading_factor)
-    p_on, p_off = ook_bit_error_probabilities(rho)
-    symbol_ber = 0.5 * (p_on + p_off)
-    p_detect = preamble_detection_probability(snr_db, spreading_factor)
-    return p_detect * (1.0 - symbol_ber) ** float(payload_bits)
+    return ook_link_law(snr_db, spreading_factor).delivery(payload_bits)
 
 
 def effective_bit_error_rate(snr_db, spreading_factor: int) -> np.ndarray:
@@ -243,11 +261,7 @@ def effective_bit_error_rate(snr_db, spreading_factor: int) -> np.ndarray:
     device's preamble was detected, so an undetected round scores every
     bit wrong: ``1 - p_detect * (1 - symbol_ber)``.
     """
-    rho = post_despreading_snr(snr_db, spreading_factor)
-    p_on, p_off = ook_bit_error_probabilities(rho)
-    symbol_ber = 0.5 * (p_on + p_off)
-    p_detect = preamble_detection_probability(snr_db, spreading_factor)
-    return 1.0 - p_detect * (1.0 - symbol_ber)
+    return ook_link_law(snr_db, spreading_factor).scored_ber
 
 
 def netscatter_utilisation(

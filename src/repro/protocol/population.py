@@ -71,6 +71,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.capacity import ook_link_law
 from repro.core.config import NetScatterConfig
 from repro.errors import AllocationError, ConfigurationError
 from repro.utils.rng import RngLike, make_rng
@@ -606,18 +607,6 @@ def office_population(
     return pop
 
 
-def _closed_form_group_metrics(snrs: np.ndarray, config: NetScatterConfig):
-    """Expected (delivered, correct-bit fraction) of an uncontended group."""
-    from repro.core.capacity import (
-        effective_bit_error_rate,
-        packet_delivery_probability,
-    )
-
-    delivery = packet_delivery_probability(snrs, config.spreading_factor)
-    ber = effective_bit_error_rate(snrs, config.spreading_factor)
-    return float(np.sum(delivery)), float(np.mean(ber))
-
-
 def _monte_carlo_group_metrics(
     snrs: np.ndarray,
     device_ids: np.ndarray,
@@ -654,12 +643,14 @@ def hybrid_population_round(
 
     Partitions the population into similar-SNR groups
     (:func:`assign_cluster`), routes each group by the seeded
-    :class:`FidelityRule`, aggregates the uncontended bulk through the
-    calibrated closed-form link law and simulates the contended tail
-    with the analytic decode engine — ``rule.monte_carlo_rounds``
-    concurrent rounds per Monte-Carlo group, each group seeded by its
-    pre-derived child seed. Audited groups contribute their engine
-    result and record the |closed form - engine| delivery gap.
+    :class:`FidelityRule`, scores the uncontended bulk and the audited
+    groups with one vectorised call of the calibrated closed-form link
+    law (:func:`repro.core.capacity.ook_link_law`) and simulates the
+    contended tail with the analytic decode engine —
+    ``rule.monte_carlo_rounds`` concurrent rounds per Monte-Carlo
+    group, each seeded by its pre-derived child seed. Audited groups
+    contribute their engine result and record the |closed form -
+    engine| delivery gap.
 
     The population's ``snr_db`` column is taken as the *effective*
     (post power-control) uplink SNR; both fidelity modes consume the
@@ -679,49 +670,44 @@ def hybrid_population_round(
         snrs, groups, rule, seed, force_monte_carlo=force_monte_carlo
     )
 
-    delivered = 0.0
-    ber_weighted = 0.0
-    cf_groups = mc_groups = cf_devices = mc_devices = 0
-    audit_gaps: List[float] = []
-    for g, rows in enumerate(groups):
-        member_snrs = snrs[rows]
-        if split.monte_carlo[g]:
-            group_delivered, group_ber = _monte_carlo_group_metrics(
-                member_snrs,
-                population.device_id[rows],
-                config,
-                int(split.group_seeds[g]),
-                rule.monte_carlo_rounds,
-            )
-            mc_groups += 1
-            mc_devices += rows.size
-            if split.reasons[g] == "audit":
-                expected, _ = _closed_form_group_metrics(
-                    member_snrs, config
-                )
-                audit_gaps.append(
-                    abs(expected - group_delivered) / rows.size
-                )
-        else:
-            group_delivered, group_ber = _closed_form_group_metrics(
-                member_snrs, config
-            )
-            cf_groups += 1
-            cf_devices += rows.size
-        delivered += group_delivered
-        ber_weighted += group_ber * rows.size
+    # One closed-form pass over every closed-form and audited member,
+    # summed per group; Monte-Carlo groups then take the engine's sums.
+    sizes = np.array([rows.size for rows in groups])
+    audited = np.array(split.reasons) == "audit"
+    scored = ~split.monte_carlo | audited
+    delivered = np.zeros(len(groups))
+    ber_sums = np.zeros(len(groups))
+    if scored.any():
+        members = np.concatenate([groups[g] for g in np.flatnonzero(scored)])
+        link = ook_link_law(snrs[members], config.spreading_factor)
+        starts = np.cumsum(sizes[scored]) - sizes[scored]
+        delivered[scored] = np.add.reduceat(link.delivery(), starts)
+        ber_sums[scored] = np.add.reduceat(link.scored_ber, starts)
+    expected = delivered.copy()
+    for g in np.flatnonzero(split.monte_carlo):
+        rows = groups[g]
+        delivered[g], group_ber = _monte_carlo_group_metrics(
+            snrs[rows],
+            population.device_id[rows],
+            config,
+            int(split.group_seeds[g]),
+            rule.monte_carlo_rounds,
+        )
+        ber_sums[g] = group_ber * rows.size
+    audit_gaps = np.abs(expected - delivered)[audited] / sizes[audited]
+    mc_devices = int(sizes[split.monte_carlo].sum())
 
     n = int(snrs.size)
     return PopulationRoundResult(
         n_devices=n,
         n_groups=len(groups),
-        n_closed_form_groups=cf_groups,
-        n_monte_carlo_groups=mc_groups,
-        n_closed_form_devices=cf_devices,
+        n_closed_form_groups=split.n_closed_form,
+        n_monte_carlo_groups=split.n_monte_carlo,
+        n_closed_form_devices=n - mc_devices,
         n_monte_carlo_devices=mc_devices,
-        delivery_ratio=delivered / n,
-        bit_error_rate=ber_weighted / n,
+        delivery_ratio=float(delivered.sum()) / n,
+        bit_error_rate=float(ber_sums.sum()) / n,
         seed=int(seed),
         reasons=split.reasons,
-        audit_gaps=audit_gaps,
+        audit_gaps=audit_gaps.tolist(),
     )

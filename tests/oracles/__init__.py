@@ -1,7 +1,8 @@
 """Test-side reference implementations (oracles).
 
 Each module here is a compact, independent implementation of one
-protocol step that ``src/`` implements only once, in its fast form.
+protocol step or link law that ``src/`` implements only once, in its
+fast form.
 The equivalence suites run the same operation sequences through both
 and compare every observable. Nothing in ``src/`` imports these.
 
@@ -10,4 +11,7 @@ and compare every observable. Nothing in ``src/`` imports these.
   :class:`~repro.protocol.ap.AccessPoint` built over them.
 * :mod:`oracles.per_round_fading` — a network simulator that draws and
   decodes every fading round on its own.
+* :mod:`oracles.chi2_series` — the closed-form OOK link law over the
+  fixed-length Poisson-mixture χ² series, each probability function
+  evaluating its own χ² terms.
 """

@@ -316,7 +316,7 @@ class TestBenchSchema:
         }
         current = {
             "timestamp": "t1",
-            "host": {},
+            "host": {"cpu_count": 2},
             "fig12": {"speedup": 9.0},
         }
         perf_smoke.validate_report(
@@ -325,3 +325,13 @@ class TestBenchSchema:
                 "runs": [historical_quick, current],
             }
         )
+        # The host fingerprint binds the newest run only: the historical
+        # run has no cpu_count, and a newest run without one is refused.
+        for host in ({}, {"cpu_count": 0}, {"cpu_count": True}):
+            with pytest.raises(ValueError, match="cpu_count"):
+                perf_smoke.validate_report(
+                    {
+                        "schema": "bench-fastpath-v2",
+                        "runs": [historical_quick, dict(current, host=host)],
+                    }
+                )
