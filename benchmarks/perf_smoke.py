@@ -82,6 +82,8 @@ from repro.channel.deployment import paper_deployment
 from repro.core.config import NetScatterConfig
 from repro.core.dcss import compose_round_matrix
 from repro.core.receiver import NetScatterReceiver
+from repro.hardware.mcu import McuTimingModel
+from repro.hardware.oscillator import tag_oscillator
 from repro.experiments import (
     fig12_nearfar_ber,
     fig15_doppler_dr,
@@ -259,6 +261,8 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
     params = sim._params
     n_devices = sim._deployment.n_devices
     n_pre = sim._structure.n_preamble_upchirps
+    timing = McuTimingModel()
+    osc = tag_oscillator()
     total_correct = total_sent = delivered = 0
     for _ in range(n_rounds):
         effective = sim.effective_snrs_db()
@@ -269,10 +273,17 @@ def _seed_style_fading_rounds(sim, legacy_receiver, n_rounds: int):
         floor = min(effective)
         rel = np.asarray(effective) - floor
         delays = np.array(
-            [sim._timing.sample_latency_s(sim._rng) for _ in range(n_devices)]
+            [timing.sample_latency_s(sim._rng) for _ in range(n_devices)]
         )
         delays -= delays.mean()
-        cfos = np.array([o.offset_hz(sim._rng) for o in sim._oscillators])
+        cfos = np.array(
+            [
+                (cut + sim._rng.normal(scale=osc.drift_ppm_std))
+                * 1e-6
+                * osc.nominal_freq_hz
+                for cut in sim._cut_ppm
+            ]
+        )
         bins = (
             np.array(
                 [sim._assignments[i] for i in range(n_devices)], dtype=float

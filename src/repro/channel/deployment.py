@@ -85,9 +85,8 @@ class Deployment:
         """Wrap bare uplink SNRs in a static (no-fading) deployment.
 
         The bridge from the flat population layer to the sample-level
-        engine: a Monte-Carlo leg of the hybrid fidelity split hands the
-        group's effective SNR column straight to
-        :class:`repro.protocol.network.NetworkSimulator` without
+        engine: :class:`repro.protocol.network.NetworkSimulator` takes a
+        population's effective SNR column through it without
         synthesising a floorplan. Positions/distances are placeholders
         (the engine only reads ``uplink_snr_db`` and, with power control
         off, never the geometry) and fading is disabled so the SNRs are

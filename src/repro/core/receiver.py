@@ -17,7 +17,8 @@ devices — the receiver-complexity claim the paper makes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -137,14 +138,26 @@ class RoundsDecode:
     def n_rounds(self) -> int:
         return self.detected.shape[0]
 
+    @cached_property
+    def _columns(self) -> Dict[int, int]:
+        """Device id -> column, built on first lookup."""
+        return {device_id: c for c, device_id in enumerate(self.device_ids)}
+
     def column_of(self, device_id: int) -> int:
         """Column index of a device in the batched arrays."""
         try:
-            return self.device_ids.index(device_id)
-        except ValueError:
+            return self._columns[device_id]
+        except KeyError:
             raise DecodingError(
                 f"device {device_id} is not in this decode"
             ) from None
+
+    def columns_of(self, device_ids: Iterable[int]) -> np.ndarray:
+        """Column indices of several devices, in the order given."""
+        return np.array(
+            [self.column_of(device_id) for device_id in device_ids],
+            dtype=int,
+        )
 
     def frame(self, round_index: int) -> FrameDecode:
         """Materialise one round as a :class:`FrameDecode`."""

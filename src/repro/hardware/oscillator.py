@@ -49,20 +49,16 @@ class CrystalOscillator:
             raise HardwareModelError("ppm figures must be non-negative")
 
     def calibrate(self, rng: RngLike = None) -> None:
-        """Draw the fixed per-part cut error."""
-        generator = make_rng(rng)
-        self.calibrate_from_unit(generator.uniform(-1.0, 1.0))
+        """Draw the fixed per-part cut error, uniform in the tolerance band.
 
-    def calibrate_from_unit(self, draw: float) -> None:
-        """Set the cut error from a pre-drawn uniform(-1, 1) variate.
-
-        The seam shared by :meth:`calibrate` and the batched
-        :func:`calibrate_population`, so both paths apply the same
-        tolerance scaling (and any future validation) in one place.
+        The network simulator draws a whole tag population's cut errors
+        the same way in one array
+        (:func:`repro.protocol.network.draw_cut_errors_ppm`).
         """
-        if not -1.0 <= draw <= 1.0:
-            raise HardwareModelError("unit draw must lie in [-1, 1]")
-        self._cut_error_ppm = float(draw * self.tolerance_ppm)
+        generator = make_rng(rng)
+        self._cut_error_ppm = float(
+            generator.uniform(-1.0, 1.0) * self.tolerance_ppm
+        )
 
     @property
     def cut_error_ppm(self) -> float:
@@ -94,23 +90,6 @@ class CrystalOscillator:
             raise HardwareModelError("need at least one measurement")
         generator = make_rng(rng)
         return np.array([self.offset_hz(generator) for _ in range(n)])
-
-
-def calibrate_population(oscillators, rng: RngLike = None) -> None:
-    """Draw every oscillator's fixed cut error in one batched call.
-
-    Identical distribution to calling :meth:`CrystalOscillator.calibrate`
-    per part (uniform within each part's tolerance band), but a single
-    ``Generator.uniform`` draw serves the whole population — the network
-    simulator calibrates hundreds of tags per sweep point.
-    """
-    oscillators = list(oscillators)
-    if not oscillators:
-        return
-    generator = make_rng(rng)
-    draws = generator.uniform(-1.0, 1.0, size=len(oscillators))
-    for osc, draw in zip(oscillators, draws):
-        osc.calibrate_from_unit(draw)
 
 
 def tag_oscillator(

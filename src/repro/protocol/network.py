@@ -68,7 +68,7 @@ from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import ConfigurationError
 from repro.hardware.mcu import McuTimingModel
 from repro.phy.noise import NOISE_MODES
-from repro.hardware.oscillator import calibrate_population, tag_oscillator
+from repro.hardware.oscillator import tag_oscillator
 from repro.phy.packet import PacketStructure
 from repro.utils.rng import RngLike, child_rng, make_rng
 
@@ -78,6 +78,11 @@ ENGINES = ("analytic", "auto", "time")
 #: Wall-clock spacing assumed between fading rounds (seconds): the
 #: AR(1) tracks step by this much per round.
 FADING_ROUND_INTERVAL_S = 0.06
+
+#: Every simulated tag carries this oscillator model (its cut error is
+#: drawn per device) and this MCU turnaround model.
+_TAG_OSCILLATOR = tag_oscillator()
+_TAG_TIMING = McuTimingModel()
 
 
 @dataclass
@@ -262,10 +267,9 @@ class NetworkSimulator:
         self._readout_dtype = readout_dtype
         self._structure = PacketStructure(payload_bits=self._payload_bits)
 
-        # Per-device impairment models (fixed per device, drawn per packet).
-        self._timing = McuTimingModel()
-        self._oscillators = [tag_oscillator() for _ in deployment.devices]
-        calibrate_population(self._oscillators, self._rng)
+        # Per-device oscillator cut errors (fixed per device); jitter,
+        # drift, phases and bits are drawn per packet.
+        self._cut_ppm = draw_cut_errors_ppm(deployment.n_devices, self._rng)
 
         snrs = [d.uplink_snr_db + self._scale_db for d in deployment.devices]
         self._base_snrs = snrs
@@ -273,10 +277,13 @@ class NetworkSimulator:
         self._assignments = power_aware_allocation(
             [s + g for s, g in zip(snrs, self._gains_db)], config
         )
+        self._shifts = np.array(
+            [self._assignments[i] for i in range(deployment.n_devices)],
+            dtype=float,
+        )
         readout = {"analytic": "analytic", "auto": "auto"}.get(
             engine, "sparse"
         )
-        self._noise_mode = noise_mode
         self._receiver = NetScatterReceiver(
             config, self._assignments, readout=readout,
             noise_mode=noise_mode,
@@ -354,105 +361,32 @@ class NetworkSimulator:
         # ride on top.
         return tracks + self._scale_db + np.asarray(self._gains_db)[None, :]
 
-    def _draw_batch_inputs(self, n_rounds: int, fading: bool):
-        """Draw a whole batch's composition inputs in vectorised form.
-
-        Returns ``(bins, amplitudes, phases, payload, floors)`` with
-        round-major shapes. Jitter/CFO/phases/bits are always drawn as
-        single ``(rounds, devices)`` batches; fading adds per-round
-        amplitude rows and noise floors from the batched AR(1) tracks
-        (statistically identical to the round-by-round reference the
-        equivalence tests compare against).
-        """
-        if fading:
-            effective = self._fading_effective_snrs_db(n_rounds)
-            floors = effective.min(axis=1)
-            rel_gains_db = effective - floors[:, None]
-        else:
-            static = np.asarray(self.effective_snrs_db())
-            floor_snr = float(static.min())
-            rel_gains_db = static - floor_snr
-            floors = np.full(n_rounds, floor_snr)
-
-        n_devices = self._deployment.n_devices
-        params = self._params
-        delays = self._timing.sample_latencies_s(
-            (n_rounds, n_devices), self._rng
-        )
-        delays = delays - delays.mean(axis=1, keepdims=True)
-        cut_ppm = np.array([o.cut_error_ppm for o in self._oscillators])
-        drift_ppm = self._rng.standard_normal(
-            (n_rounds, n_devices)
-        ) * np.array([o.drift_ppm_std for o in self._oscillators])
-        nominal_hz = np.array(
-            [o.nominal_freq_hz for o in self._oscillators]
-        )
-        cfos = (cut_ppm[None, :] + drift_ppm) * 1e-6 * nominal_hz[None, :]
-        shifts = np.array(
-            [self._assignments[i] for i in range(n_devices)], dtype=float
-        )
-        bins = (
-            shifts[None, :]
-            - delays * params.bandwidth_hz
-            + cfos * params.n_samples / params.bandwidth_hz
-        )
-        amplitudes = np.broadcast_to(
-            10.0 ** (rel_gains_db / 20.0), (n_rounds, n_devices)
-        )
-        phases = self._rng.uniform(
-            0.0, 2.0 * np.pi, size=(n_rounds, n_devices)
-        )
-        payload = self._rng.integers(
-            0, 2, size=(n_rounds, self._payload_bits, n_devices)
-        )
-        return bins, amplitudes, phases, payload, floors
-
     def _run_batch(
         self, n_rounds: int, fading: bool
     ) -> Tuple[RoundsDecode, np.ndarray, np.ndarray]:
-        """Compose, noise-load and decode ``n_rounds`` in one batch.
+        """Draw, noise-load and decode ``n_rounds`` in one batch.
 
         Returns ``(decode, payload_tensor, floor_snrs)`` where ``decode``
         is the engine's :class:`RoundsDecode` and ``payload_tensor`` is
-        ``(n_rounds, payload_bits, n_devices)``. The ``"analytic"`` and
-        ``"auto"`` engines never materialise a waveform up front: the
-        tone parameters go straight to
-        :meth:`NetScatterReceiver.decode_readout` with the channel AWGN
-        injected at the readout bins (under ``"auto"`` the receiver's
-        planner may still synthesise the tensor when the padded FFT is
-        the cheaper readout); the ``"time"`` engine composes the full
-        tensor and adds time-domain noise.
+        ``(n_rounds, payload_bits, n_devices)``. Fading first advances
+        the batched AR(1) tracks, giving per-round amplitude rows and
+        noise floors (statistically identical to the round-by-round
+        reference the equivalence tests compare against).
         """
-        bins, amplitudes, phases, payload, floors = self._draw_batch_inputs(
-            n_rounds, fading
-        )
-        n_devices = self._deployment.n_devices
-        n_preamble = self._structure.n_preamble_upchirps
-        bit_tensor = np.ones(
-            (n_rounds, n_preamble + self._payload_bits, n_devices)
-        )
-        bit_tensor[:, n_preamble:] = payload
-
-        if self._engine in ("analytic", "auto"):
-            decode = self._receiver.decode_readout(
-                bins,
-                amplitudes,
-                phases,
-                bit_tensor,
-                n_preamble_upchirps=n_preamble,
-                noise_snr_db=floors,
-                rng=self._rng,
-                dtype=self._readout_dtype,
-            )
+        if fading:
+            effective = self._fading_effective_snrs_db(n_rounds)
         else:
-            symbols = compose_rounds(
-                self._params, bins, amplitudes, phases, bit_tensor
-            )
-            noisy = awgn_rounds(symbols, floors, self._rng)
-            decode = self._receiver.decode_rounds(
-                noisy, n_preamble_upchirps=n_preamble
-            )
-        return decode, payload, floors
+            effective = np.asarray(self.effective_snrs_db())
+        inputs = draw_batch_inputs(
+            self._shifts, self._cut_ppm, effective, n_rounds,
+            self._payload_bits, self._params, self._rng,
+        )
+        decode = decode_batch(
+            self._receiver, self._engine, *inputs,
+            self._structure.n_preamble_upchirps, self._rng,
+            self._readout_dtype,
+        )
+        return decode, inputs[3], inputs[4]
 
     def run_round(self, fading: bool = False) -> RoundResult:
         """One full concurrent round: compose, add noise, decode, account.
@@ -485,42 +419,26 @@ class NetworkSimulator:
     def run_rounds(self, n_rounds: int, fading: bool = False) -> NetworkMetrics:
         """Run several rounds and aggregate into the Fig. 17-19 metrics.
 
-        All rounds flow through the batched decode engine; the per-round
-        scoring is vectorised (a bit counts only when its device's
-        preamble was detected, matching the per-round decoder's empty
-        bit list for undetected devices).
+        All rounds flow through the batched decode engine and are scored
+        by :func:`score_batch`.
         """
         if n_rounds < 1:
             raise ConfigurationError("need at least one round")
         decode, payload, _ = self._run_batch(n_rounds, fading)
-        # The engine's columns follow the assignment order, which the
-        # power-aware allocator does not keep in device-index order;
-        # realign them with the payload tensor's device-index columns.
-        columns = np.array(
-            [
-                decode.column_of(i)
-                for i in range(self._deployment.n_devices)
-            ],
-            dtype=int,
+        # The receiver is keyed by device index, so the decode's own
+        # lookup realigns its columns with the payload's.
+        delivery, ber, goodput_bits_per_round = score_batch(
+            decode,
+            payload,
+            decode.columns_of(range(self._deployment.n_devices)),
         )
-        detected = decode.detected[:, columns]  # (R, D)
-        match = decode.bits[:, :, columns] == payload.astype(np.uint8)
-        total_correct = int(np.sum(match & detected[:, None, :]))
-        total_sent = int(payload.size)
-        delivered = int(np.sum(detected & match.all(axis=1)))
         airtime = netscatter_round_airtime_s(
             self._config, self._query_bits, self._structure
         )
-        n = self._deployment.n_devices
-        delivery = delivered / (n * n_rounds)
-        ber = 1.0 - total_correct / total_sent if total_sent else 0.0
-        goodput_bits_per_round = (total_correct / n_rounds)
-        phy_rate = goodput_bits_per_round / airtime.payload_s
-        link_rate = goodput_bits_per_round / airtime.total_s
         return NetworkMetrics(
-            n_devices=n,
-            phy_rate_bps=phy_rate,
-            link_layer_rate_bps=link_rate,
+            n_devices=self._deployment.n_devices,
+            phy_rate_bps=goodput_bits_per_round / airtime.payload_s,
+            link_layer_rate_bps=goodput_bits_per_round / airtime.total_s,
             latency_s=airtime.total_s,
             delivery_ratio=delivery,
             bit_error_rate=ber,
@@ -529,6 +447,122 @@ class NetworkSimulator:
             noise_mode=decode.noise_mode,
             noise_version=decode.noise_version,
         )
+
+
+# ---------------------------------------------------------------------- #
+# one batch: draw, decode, score
+# ---------------------------------------------------------------------- #
+
+
+def draw_cut_errors_ppm(n_devices: int, rng: np.random.Generator):
+    """Every tag's fixed crystal cut error (ppm), in one uniform draw.
+
+    The same draw and tolerance scaling as calibrating one
+    :func:`~repro.hardware.oscillator.tag_oscillator` per device,
+    without building the objects.
+    """
+    draws = rng.uniform(-1.0, 1.0, size=n_devices)
+    return draws * _TAG_OSCILLATOR.tolerance_ppm
+
+
+def draw_batch_inputs(
+    shifts, cut_ppm, effective_snrs_db, n_rounds: int, payload_bits: int,
+    params, rng: np.random.Generator,
+):
+    """Draw one batch's composition inputs as flat round-major arrays.
+
+    ``shifts`` and ``cut_ppm`` give each device's assigned cyclic shift
+    and oscillator cut error; ``effective_snrs_db`` is ``(n_devices,)``
+    for a static channel or ``(n_rounds, n_devices)`` per round. The
+    weakest effective device of each round sets the noise floor and
+    every amplitude is relative to it. Draw order: MCU latencies,
+    oscillator drift, phases, payload bits. Returns ``(bins,
+    amplitudes, phases, payload, floors)``.
+    """
+    effective = np.asarray(effective_snrs_db, dtype=float)
+    if effective.ndim == 2:
+        floors = effective.min(axis=1)
+        rel_gains_db = effective - floors[:, None]
+    else:
+        floor_snr = float(effective.min())
+        rel_gains_db = effective - floor_snr
+        floors = np.full(n_rounds, floor_snr)
+
+    n_devices = shifts.size
+    delays = _TAG_TIMING.sample_latencies_s((n_rounds, n_devices), rng)
+    # The receiver synchronises to the concurrent preamble, which locks
+    # onto the population's common-mode delay; only per-device
+    # deviations from it survive as residual bin offsets.
+    delays = delays - delays.mean(axis=1, keepdims=True)
+    drift_ppm = (
+        rng.standard_normal((n_rounds, n_devices))
+        * _TAG_OSCILLATOR.drift_ppm_std
+    )
+    nominal_hz = _TAG_OSCILLATOR.nominal_freq_hz
+    cfos = (cut_ppm[None, :] + drift_ppm) * 1e-6 * nominal_hz
+    bins = (
+        shifts[None, :]
+        - delays * params.bandwidth_hz
+        + cfos * params.n_samples / params.bandwidth_hz
+    )
+    amplitudes = np.broadcast_to(
+        10.0 ** (rel_gains_db / 20.0), (n_rounds, n_devices)
+    )
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_rounds, n_devices))
+    payload = rng.integers(0, 2, size=(n_rounds, payload_bits, n_devices))
+    return bins, amplitudes, phases, payload, floors
+
+
+def decode_batch(
+    receiver: NetScatterReceiver, engine: str, bins, amplitudes, phases,
+    payload: np.ndarray, floors, n_preamble: int,
+    rng: np.random.Generator, readout_dtype=None,
+) -> RoundsDecode:
+    """Noise-load and decode one drawn batch on ``receiver``.
+
+    The ``"analytic"`` and ``"auto"`` engines never materialise a
+    waveform up front: the tone parameters go straight to
+    :meth:`NetScatterReceiver.decode_readout` with the channel AWGN
+    injected at the readout bins (under ``"auto"`` the receiver's
+    planner may still synthesise the tensor when the padded FFT is the
+    cheaper readout). The ``"time"`` engine composes the full tensor
+    and adds time-domain noise.
+    """
+    n_rounds, payload_bits, n_devices = payload.shape
+    bit_tensor = np.ones((n_rounds, n_preamble + payload_bits, n_devices))
+    bit_tensor[:, n_preamble:] = payload
+    if engine in ("analytic", "auto"):
+        return receiver.decode_readout(
+            bins, amplitudes, phases, bit_tensor,
+            n_preamble_upchirps=n_preamble, noise_snr_db=floors, rng=rng,
+            dtype=readout_dtype,
+        )
+    symbols = compose_rounds(
+        receiver.config.chirp_params, bins, amplitudes, phases, bit_tensor
+    )
+    noisy = awgn_rounds(symbols, floors, rng)
+    return receiver.decode_rounds(noisy, n_preamble_upchirps=n_preamble)
+
+
+def score_batch(
+    decode: RoundsDecode, payload: np.ndarray, columns: np.ndarray
+) -> Tuple[float, float, float]:
+    """``(delivery ratio, bit error rate, correct bits per round)``.
+
+    ``columns[i]`` is the decode column of the payload's device ``i``.
+    A bit counts only when its device's preamble was detected, matching
+    the per-round decoder's empty bit list for undetected devices; a
+    packet is delivered when every bit is correct.
+    """
+    n_rounds, _, n_devices = payload.shape
+    detected = decode.detected[:, columns]  # (R, D)
+    match = decode.bits[:, :, columns] == payload.astype(np.uint8)
+    total_correct = int(np.sum(match & detected[:, None, :]))
+    total_sent = int(payload.size)
+    delivered = int(np.sum(detected & match.all(axis=1)))
+    delivery = delivered / (n_devices * n_rounds)
+    ber = 1.0 - total_correct / total_sent if total_sent else 0.0
+    return delivery, ber, total_correct / n_rounds
 
 
 def resolve_pool_workers(workers: Optional[int]) -> int:

@@ -71,9 +71,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.constants import PAYLOAD_CRC_BITS, PREAMBLE_UPCHIRPS
+from repro.core.allocation import power_aware_allocation
 from repro.core.capacity import ook_link_law
 from repro.core.config import NetScatterConfig
+from repro.core.receiver import NetScatterReceiver
 from repro.errors import AllocationError, ConfigurationError
+from repro.protocol.network import (
+    decode_batch, draw_batch_inputs, draw_cut_errors_ppm, score_batch,
+)
 from repro.utils.rng import RngLike, make_rng
 
 #: Association lifecycle encoded in :attr:`Population.phase`.
@@ -225,14 +231,14 @@ class Population:
             raise AllocationError(
                 "device ids and SNRs must be 1-D and aligned"
             )
-        if np.unique(ids).size != ids.size:
-            raise AllocationError("duplicate device ids in bulk add")
-        for device_id in ids:
-            if int(device_id) in self._rows:
-                raise AllocationError(
-                    f"device {int(device_id)} already allocated"
-                )
         start = self._n
+        id_list = ids.tolist()
+        new_rows = dict(zip(id_list, range(start, start + ids.size)))
+        if len(new_rows) != ids.size:
+            raise AllocationError("duplicate device ids in bulk add")
+        if self._rows and not self._rows.keys().isdisjoint(new_rows):
+            clash = next(d for d in id_list if d in self._rows)
+            raise AllocationError(f"device {clash} already allocated")
         self._grow_to(start + ids.size)
         self._n = start + ids.size
         rows = np.arange(start, self._n)
@@ -240,9 +246,7 @@ class Population:
         self._data["snr_db"][rows] = snrs
         for name, dtype, fill in self._COLUMNS[2:]:
             self._data[name][rows] = fill
-        self._rows.update(
-            (int(device_id), int(row)) for device_id, row in zip(ids, rows)
-        )
+        self._rows.update(new_rows)
         return rows
 
     def remove(self, device_id: int) -> None:
@@ -534,10 +538,6 @@ class PopulationRoundResult:
     #: Delivery-ratio gaps |closed form - engine| of the audited groups.
     audit_gaps: List[float] = field(default_factory=list)
 
-    @property
-    def audit_max_gap(self) -> float:
-        return max(self.audit_gaps) if self.audit_gaps else 0.0
-
 
 def office_population(
     n_devices: int,
@@ -607,29 +607,39 @@ def office_population(
     return pop
 
 
-def _monte_carlo_group_metrics(
+def _engine_group_metrics(
     snrs: np.ndarray,
-    device_ids: np.ndarray,
     config: NetScatterConfig,
     seed: int,
     n_rounds: int,
+    receivers: Dict[int, NetScatterReceiver],
 ):
-    """Engine-level realised (delivered, BER) for one contended group."""
-    from repro.channel.deployment import Deployment
-    from repro.protocol.network import NetworkSimulator
+    """Realised (delivery ratio, BER) of one Monte-Carlo group.
 
-    deployment = Deployment.from_snrs(snrs, device_ids=device_ids)
-    simulator = NetworkSimulator(
-        deployment,
-        config=config,
-        power_control=False,
-        rng=int(seed) & _SEED_MASK,
+    The draws, decode and scoring of a power-control-free
+    :class:`~repro.protocol.network.NetworkSimulator` over the group,
+    seeded by its child seed. Receiver column ``k`` listens on the
+    ``k``-th strongest member's shift, a layout only the group size
+    sets, so ``receivers`` holds one planner-routed receiver per size.
+    """
+    n = snrs.size
+    rng = make_rng(int(seed) & _SEED_MASK)
+    cut_ppm = draw_cut_errors_ppm(n, rng)
+    assignment = power_aware_allocation(snrs, config)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.fromiter(assignment, dtype=np.int64, count=n)] = np.arange(n)
+    ranked_shifts = list(assignment.values())
+    if n not in receivers:
+        receivers[n] = NetScatterReceiver(
+            config, dict(enumerate(ranked_shifts)), readout="auto"
+        )
+    inputs = draw_batch_inputs(
+        np.asarray(ranked_shifts, dtype=float)[rank], cut_ppm, snrs,
+        n_rounds, PAYLOAD_CRC_BITS, config.chirp_params, rng,
     )
-    metrics = simulator.run_rounds(max(int(n_rounds), 1))
-    return (
-        metrics.delivery_ratio * snrs.size,
-        metrics.bit_error_rate,
-    )
+    decode = decode_batch(receivers[n], "auto", *inputs, PREAMBLE_UPCHIRPS, rng)
+    columns = decode.columns_of(rank.tolist())
+    return score_batch(decode, inputs[3], columns)[:2]
 
 
 def hybrid_population_round(
@@ -646,11 +656,12 @@ def hybrid_population_round(
     :class:`FidelityRule`, scores the uncontended bulk and the audited
     groups with one vectorised call of the calibrated closed-form link
     law (:func:`repro.core.capacity.ook_link_law`) and simulates the
-    contended tail with the analytic decode engine —
-    ``rule.monte_carlo_rounds`` concurrent rounds per Monte-Carlo
-    group, each seeded by its pre-derived child seed. Audited groups
-    contribute their engine result and record the |closed form -
-    engine| delivery gap.
+    contended tail with the network simulator's draw, decode and score
+    functions — ``rule.monte_carlo_rounds`` concurrent rounds per
+    Monte-Carlo group, seeded by its pre-derived child seed, on one
+    planner-routed receiver per group size (the per-group simulator
+    reference is in ``tests/oracles/``). Audited groups contribute
+    their engine result and record the |closed form - engine| gap.
 
     The population's ``snr_db`` column is taken as the *effective*
     (post power-control) uplink SNR; both fidelity modes consume the
@@ -684,15 +695,14 @@ def hybrid_population_round(
         delivered[scored] = np.add.reduceat(link.delivery(), starts)
         ber_sums[scored] = np.add.reduceat(link.scored_ber, starts)
     expected = delivered.copy()
+    receivers: Dict[int, NetScatterReceiver] = {}
+    n_rounds = max(int(rule.monte_carlo_rounds), 1)
     for g in np.flatnonzero(split.monte_carlo):
         rows = groups[g]
-        delivered[g], group_ber = _monte_carlo_group_metrics(
-            snrs[rows],
-            population.device_id[rows],
-            config,
-            int(split.group_seeds[g]),
-            rule.monte_carlo_rounds,
+        delivery, group_ber = _engine_group_metrics(
+            snrs[rows], config, int(split.group_seeds[g]), n_rounds, receivers
         )
+        delivered[g] = delivery * rows.size
         ber_sums[g] = group_ber * rows.size
     audit_gaps = np.abs(expected - delivered)[audited] / sizes[audited]
     mc_devices = int(sizes[split.monte_carlo].sum())

@@ -222,9 +222,7 @@ class NetworkSession:
         decode = self._receiver.decode_rounds(
             awgn_rounds(symbols, floor, self._rng)
         )
-        columns = np.array(
-            [decode.column_of(i) for i in participants], dtype=int
-        )
+        columns = decode.columns_of(participants)
         match = (
             decode.bits[0][:, columns] == payload.astype(np.uint8)
         ).all(axis=0)

@@ -14,4 +14,7 @@ and compare every observable. Nothing in ``src/`` imports these.
 * :mod:`oracles.chi2_series` — the closed-form OOK link law over the
   fixed-length Poisson-mixture χ² series, each probability function
   evaluating its own χ² terms.
+* :mod:`oracles.per_group_engine` — the hybrid population round with
+  one ``Deployment`` and analytic-engine ``NetworkSimulator`` per
+  Monte-Carlo group.
 """

@@ -15,32 +15,46 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.receiver import RoundsDecode
-from repro.protocol.network import FADING_ROUND_INTERVAL_S, NetworkSimulator
+from repro.hardware.mcu import McuTimingModel
+from repro.hardware.oscillator import tag_oscillator
+from repro.protocol.network import (
+    FADING_ROUND_INTERVAL_S,
+    NetworkSimulator,
+    decode_batch,
+)
 
 
 class PerRoundFadingSimulator(NetworkSimulator):
     """A simulator whose fading batches run one round at a time."""
 
     def _run_batch(self, n_rounds: int, fading: bool):
-        if not fading or n_rounds == 1:
+        if not fading:
             return super()._run_batch(n_rounds, fading)
-        parts = [self._run_batch(1, True) for _ in range(n_rounds)]
+        parts = [self._run_fading_round() for _ in range(n_rounds)]
         decode = RoundsDecode.concatenate([p[0] for p in parts])
         payload = np.concatenate([p[1] for p in parts])
         floors = np.concatenate([p[2] for p in parts])
         return decode, payload, floors
 
-    def _draw_batch_inputs(self, n_rounds: int, fading: bool):
-        if not fading:
-            return super()._draw_batch_inputs(n_rounds, fading)
-        draws = [self._draw_round_inputs() for _ in range(n_rounds)]
-        return (
-            np.stack([d[0] for d in draws]),
-            np.stack([d[1] for d in draws]),
-            np.stack([d[2] for d in draws]),
-            np.stack([d[3] for d in draws]),
-            np.array([d[4] for d in draws]),
+    def _run_fading_round(self):
+        """Draw and decode one fading round on its own."""
+        bins, amplitudes, phases, payload, floor = self._draw_round_inputs()
+        inputs = (
+            bins[None],
+            amplitudes[None],
+            phases[None],
+            payload[None],
+            np.array([floor]),
         )
+        decode = decode_batch(
+            self._receiver,
+            self._engine,
+            *inputs,
+            self._structure.n_preamble_upchirps,
+            self._rng,
+            self._readout_dtype,
+        )
+        return decode, inputs[3], inputs[4]
 
     def _draw_round_inputs(self):
         """One fading round's (bins, amps, phases, bits, floor SNR)."""
@@ -59,14 +73,20 @@ class PerRoundFadingSimulator(NetworkSimulator):
 
         n_devices = self._deployment.n_devices
         params = self._params
-        delays = self._timing.sample_latencies_s(n_devices, self._rng)
+        delays = McuTimingModel().sample_latencies_s(n_devices, self._rng)
         # The receiver synchronises to the concurrent preamble, which
         # locks onto the population's common-mode delay; only per-device
         # deviations from it survive as residual bin offsets.
         delays = delays - delays.mean()
-        cfos = np.array(
-            [osc.offset_hz(self._rng) for osc in self._oscillators]
+        # One drift draw per device, each on top of its fixed cut error.
+        osc = tag_oscillator()
+        drift_ppm = np.array(
+            [
+                self._rng.normal(scale=osc.drift_ppm_std)
+                for _ in range(n_devices)
+            ]
         )
+        cfos = (self._cut_ppm + drift_ppm) * 1e-6 * osc.nominal_freq_hz
         effective_bins = (
             np.array(
                 [self._assignments[i] for i in range(n_devices)],

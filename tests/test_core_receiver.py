@@ -10,7 +10,7 @@ from repro.core.dcss import (
     compose_preamble_and_payload_symbols,
     compose_round_matrix,
 )
-from repro.core.receiver import NetScatterReceiver
+from repro.core.receiver import NetScatterReceiver, RoundsDecode
 from repro.errors import DecodingError
 
 
@@ -100,6 +100,33 @@ class TestConcurrentDecode:
         decode = _decode_fast(config, {0: 10}, txs, rng)
         with pytest.raises(DecodingError):
             decode.bits_of(99)
+
+
+class TestRoundsDecodeColumns:
+    @staticmethod
+    def _decode():
+        return RoundsDecode(
+            device_ids=[7, 3, 9],
+            shifts=np.array([20, 10, 30]),
+            detected=np.zeros((1, 3), dtype=bool),
+            preamble_power=np.zeros((1, 3)),
+            noise_power=np.zeros(1),
+            bits=np.zeros((1, 2, 3), dtype=np.uint8),
+            bit_powers=np.zeros((1, 2, 3)),
+        )
+
+    def test_lookup_follows_device_order(self):
+        decode = self._decode()
+        assert [decode.column_of(d) for d in (7, 3, 9)] == [0, 1, 2]
+        assert decode.column_of(np.int64(9)) == 2
+        assert decode.columns_of([9, 7, 3]).tolist() == [2, 0, 1]
+
+    def test_unknown_device_rejected(self):
+        decode = self._decode()
+        with pytest.raises(DecodingError, match="device 4"):
+            decode.column_of(4)
+        with pytest.raises(DecodingError, match="device 4"):
+            decode.columns_of([7, 4])
 
 
 class TestRoundMatrixDecode:

@@ -5,7 +5,8 @@
 members in one :func:`~repro.core.capacity.ook_link_law` call. The
 reference in ``tests/oracles/chi2_series.py`` is the 800-term
 Poisson-mixture series, composed per function and applied group by
-group. The two must agree to 1e-12 absolute everywhere the law is
+group; its Monte-Carlo groups run on the per-group engine reference
+in ``tests/oracles/per_group_engine.py``. The two must agree to 1e-12 absolute everywhere the law is
 used, and the round's routing must be identical.
 
 The last test pins the lazy SciPy import: importing the package must
@@ -23,6 +24,7 @@ import pytest
 
 import repro
 from oracles import chi2_series as oracle
+from oracles.per_group_engine import monte_carlo_group_metrics
 from repro.core import capacity
 from repro.core.capacity import (
     effective_bit_error_rate,
@@ -33,7 +35,6 @@ from repro.core.capacity import (
 from repro.core.config import NetScatterConfig
 from repro.protocol.population import (
     FidelityRule,
-    _monte_carlo_group_metrics,
     assign_cluster,
     hybrid_population_round,
     office_population,
@@ -101,7 +102,7 @@ def _series_round(population, rule, seed, config):
             np.sum(oracle.packet_delivery_probability(member_snrs, sf))
         )
         if split.monte_carlo[g]:
-            group_delivered, group_ber = _monte_carlo_group_metrics(
+            group_delivered, group_ber = monte_carlo_group_metrics(
                 member_snrs,
                 population.device_id[rows],
                 config,

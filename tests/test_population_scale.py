@@ -471,6 +471,39 @@ class TestFidelitySplit:
         )
 
 
+class TestPopulationBulkAdd:
+    """Rejected bulk adds leave the population exactly as it was."""
+
+    @staticmethod
+    def _state(pop):
+        return (
+            pop.n_devices,
+            pop.device_id.tolist(),
+            pop.snr_db.tolist(),
+            [pop.row_of(d) for d in pop.device_id.tolist()],
+        )
+
+    def test_duplicate_within_batch_on_empty_population(self):
+        pop = Population()
+        with pytest.raises(AllocationError, match="duplicate"):
+            pop.bulk_add([4, 5, 4], [-1.0, -2.0, -3.0])
+        assert self._state(pop) == (0, [], [], [])
+        assert 5 not in pop
+
+    def test_duplicates_rejected_before_any_change(self):
+        pop = Population()
+        pop.bulk_add([1, 2, 3], [-10.0, -11.0, -12.0])
+        before = self._state(pop)
+        with pytest.raises(AllocationError, match="device 2 already"):
+            pop.bulk_add([4, 2, 5], [-1.0, -2.0, -3.0])
+        with pytest.raises(AllocationError, match="duplicate"):
+            pop.bulk_add([6, 6], [-1.0, -2.0])
+        assert self._state(pop) == before
+        assert 4 not in pop and 6 not in pop
+        assert pop.bulk_add([4, 5], [-1.0, -2.0]).tolist() == [3, 4]
+        assert pop.row_of(5) == 4
+
+
 class TestPopulationEngineBridge:
     def test_simulator_accepts_population(self):
         from repro.protocol.network import NetworkSimulator
